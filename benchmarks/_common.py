@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional
 from repro.experiments.cache import config_digest, source_digest
 from repro.store import ingest_quietly
 from repro.store.ingest import record_from_bench
+from repro.telemetry.regression import metric_sections
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,9 +38,11 @@ def write_bench(
     """Stamp, write and archive one benchmark payload.
 
     *payload* carries the benchmark's own fields (``benchmark`` title,
-    parameters, and either the two-section ``metrics`` block or a legacy
-    flat schema).  Returns the path written.
+    parameters, and the two-section ``metrics`` block).  Returns the
+    path written; a payload without ``metrics`` raises
+    :class:`~repro.errors.ConfigError` before anything is written.
     """
+    metric_sections(payload)
     stamped = dict(payload)
     stamped["bench_id"] = bench_id
     stamped["timestamp"] = time.strftime(

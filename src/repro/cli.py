@@ -32,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro import SoC, SoCConfig, telemetry
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.npu.config import NPUConfig
 from repro.workloads import zoo
 
@@ -84,11 +84,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown model {args.model!r}; choose from "
               f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
         return 2
-    from repro.sim import fastpath
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_run
 
-    fastpath.set_enabled(bool(args.fast))
     with telemetry.scoped(trace=False) as scope:
         soc = SoC(SoCConfig(protection=args.protection))
         print(model.summary())
@@ -164,9 +162,7 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.all import REGISTRY, run_all
     from repro.experiments.parallel import run_parallel
-    from repro.sim import fastpath
 
-    fastpath.set_enabled(bool(args.fast))
     ids = args.ids or ["all"]
     if "all" in ids:
         run_all(
@@ -711,14 +707,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     """Evaluate an SLO spec against a live run; exit non-zero on breach."""
-    from repro.errors import ConfigError
     from repro.telemetry.slo import SLOSpec, evaluate
 
-    try:
-        spec = SLOSpec.load(args.spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = SLOSpec.load(args.spec)  # a bad spec is a ConfigError: exit 2
     if spec.scenario and spec.scenario != args.scenario:
         print(
             f"error: spec {args.spec!r} targets scenario "
@@ -1166,6 +1157,17 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1187,13 +1189,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--secure", action="store_true")
     p_run.add_argument("--detailed", action="store_true",
-                       help="simulate every DMA descriptor (slower)")
+                       help="detailed timing: every DMA descriptor is "
+                            "access-checked (IOTLB walks, Guarder checks)")
     p_run.add_argument("--input-size", type=int, default=112)
-    p_run.add_argument("--fast", action="store_true", default=False,
-                       dest="fast",
-                       help="analytic fast-path timing (bit-identical)")
-    p_run.add_argument("--no-fast", action="store_false", dest="fast",
-                       help="force the event simulator (default)")
     p_run.set_defaults(func=_cmd_run)
 
     p_attacks = sub.add_parser("attacks", help="execute the attack matrix")
@@ -1212,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(empty string disables)",
     )
     p_exp.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
+        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
         help="run experiments across N worker processes (default 1)",
     )
     p_exp.add_argument(
@@ -1227,15 +1225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="cache location (default $REPRO_CACHE_DIR or "
              "~/.cache/repro-experiments)",
-    )
-    p_exp.add_argument(
-        "--fast", action="store_true", default=False, dest="fast",
-        help="use the analytic fast-path timing engine (bit-identical "
-             "results; see repro.sim.fastpath)",
-    )
-    p_exp.add_argument(
-        "--no-fast", action="store_false", dest="fast",
-        help="force the event simulator everywhere (default)",
     )
     p_exp.set_defaults(func=_cmd_experiments)
 
@@ -1259,7 +1248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--secure", action="store_true")
     p_stats.add_argument("--detailed", action="store_true",
-                         help="simulate every DMA descriptor (slower)")
+                         help="detailed timing: every DMA descriptor is "
+                              "access-checked (IOTLB walks, Guarder checks)")
     p_stats.add_argument("--input-size", type=int, default=112)
     p_stats.add_argument("--json", action="store_true",
                          help="emit the snapshot as JSON (same as "
@@ -1660,9 +1650,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ReproError as exc:
         # Simulation/configuration/security errors surface as one line;
-        # genuine bugs (anything else) keep their traceback.
+        # genuine bugs (anything else) keep their traceback.  Bad input
+        # (ConfigError) exits 2 like a usage error; a failed simulation,
+        # security check or reconciliation exits 1.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

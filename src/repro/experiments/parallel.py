@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro import telemetry
+from repro.errors import ConfigError
 from repro.experiments import export
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import ExperimentResult
@@ -174,7 +175,7 @@ def run_parallel(
     from repro.experiments.all import REGISTRY
 
     if jobs < 1:
-        jobs = 1
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     schedule = REGISTRY.schedule(exp_ids)
     order = {spec.exp_id: i for i, spec in enumerate(schedule)}
     started = time.time()

@@ -6,11 +6,13 @@ Two timing paths produce the figures:
   through the double-buffered pipeline model.  Exact for stall-free
   controllers (Guarder / NoProtection), and fast enough to sweep budgets
   and granularities (Figs. 1, 14, 15, 17).
-* :meth:`NPUCore.run_detailed` — walks every tile iteration and pushes
-  every DMA request through the access controller, so IOTLB hits/misses
-  and page walks emerge from the actual page-touch sequence (Fig. 13).
-  With ``functional=True`` it also moves real bytes, which the security
-  tests rely on.
+* :meth:`NPUCore.run_detailed` — the actual page-touch sequence drives
+  IOTLB hits/misses and page walks (Fig. 13).  Layers the eligibility
+  predicate of :mod:`repro.sim.fastpath` proves exact are replayed from
+  the compiled schedule; every other layer walks each tile iteration and
+  pushes each DMA request through the access controller.  With
+  ``functional=True`` it also moves real bytes, which the security tests
+  rely on.
 
 A consistency test asserts the two paths agree under the Guarder.
 """
@@ -380,7 +382,8 @@ class NPUCore:
         flush: Optional[str] = None,
         reset_stats: bool = True,
     ) -> RunResult:
-        """Walk every tile iteration through the DMA engine + controller."""
+        """Time every tile iteration through the DMA engine + controller
+        (replayed by :mod:`repro.sim.fastpath` where provably exact)."""
         if flush is not None and flush not in FLUSH_GRANULARITIES:
             raise ConfigError(f"unknown flush granularity {flush!r}")
         if reset_stats:
@@ -391,11 +394,7 @@ class NPUCore:
         profiling = profiler.enabled
         if profiling:
             profiler.begin_run(program.task_name, "detailed")
-        fast_run = (
-            _fastpath.begin_run(self, program, share, flush)
-            if _fastpath.enabled()
-            else None
-        )
+        fast_run = _fastpath.begin_run(self, program, share, flush)
         layers: List[LayerResult] = []
         total = 0.0
         flush_total = 0.0

@@ -1,4 +1,4 @@
-"""Closed-form fast path for the detailed timing engine.
+"""Replay engine behind :meth:`repro.npu.core.NPUCore.run_detailed`.
 
 The event simulator (:meth:`repro.npu.core.NPUCore.run_detailed`) walks
 every tile iteration and pushes every DMA descriptor through the access
@@ -38,9 +38,10 @@ Design rules that make the equivalence hold exactly:
   runs (their cost depends on mutable IOTLB state); their schedule fold
   is still cached on the layer object itself.
 
-Enable with :func:`set_enabled` (the ``repro experiments --fast`` flag)
-or the ``REPRO_FASTPATH`` environment variable, which worker processes
-inherit.
+Every ``run_detailed`` call goes through :func:`begin_run`; the event
+walk remains the fallback for whatever the predicate cannot prove, and
+:func:`reference` forces it for a ``with`` block so tests and
+``benchmarks/bench_fastpath.py`` can compare the two.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -62,15 +62,11 @@ from repro.mmu.iommu import IOMMU
 from repro.mmu.smmu import TrustZoneSMMU
 from repro.telemetry.metrics import NULL_HISTOGRAM
 
-#: Environment flag checked by :func:`enabled`; ``"1"`` turns the fast
-#: path on.  Set via :func:`set_enabled` so pool workers inherit it.
-ENV_FLAG = "REPRO_FASTPATH"
-
 #: Metric group holding the fast-path counters
 #: (``sim.fastpath.fast_layers``, ``sim.fastpath.fallbacks``, ...).
 GROUP_PREFIX = "sim.fastpath"
 
-_FORCED: Optional[bool] = None
+_REFERENCE = False
 
 #: Compiler/simulator source digest baked into every memo key (lazily the
 #: same digest the experiment result cache uses).  Tests monkeypatch this
@@ -92,30 +88,19 @@ _PERM_MASK = {member: int(member) for member in Permission}
 
 
 # ----------------------------------------------------------------------
-# Enable / disable plumbing
+# Reference switch
 # ----------------------------------------------------------------------
-def enabled() -> bool:
-    """True when the analytic fast path should be attempted."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
-
-
-def set_enabled(on: bool) -> None:
-    """Persistently enable/disable the fast path (inherited by workers)."""
-    os.environ[ENV_FLAG] = "1" if on else "0"
-
-
 @contextmanager
-def forced(on: bool) -> Iterator[None]:
-    """Force the fast path on/off for a ``with`` block (test helper)."""
-    global _FORCED
-    saved = _FORCED
-    _FORCED = bool(on)
+def reference() -> Iterator[None]:
+    """Run every ``run_detailed`` in the block on the reference event walk
+    (test / benchmark helper)."""
+    global _REFERENCE
+    saved = _REFERENCE
+    _REFERENCE = True
     try:
         yield
     finally:
-        _FORCED = saved
+        _REFERENCE = saved
 
 
 def source_digest() -> str:
@@ -173,8 +158,7 @@ class _Fold:
 
     def __init__(self) -> None:
         #: Per iteration: (loads, stores, compute_cycles, macs) where each
-        #: transfer is (size, sub_requests, num_packets, is_write, world,
-        #: pages, vaddr, span).
+        #: transfer is (size, pages) — all the replay reads.
         self.iters: List[tuple] = []
         self.subreq = 0
         self.packets = 0
@@ -186,15 +170,16 @@ class _Fold:
         self.worlds: set = set()
         #: (is_write, world) -> [min_vaddr, max_end] (Guarder hull check).
         self.hulls: Dict[tuple, list] = {}
-        #: Distinct (vaddr, span, is_write, world) keys (Guarder precheck).
-        self.distinct: Dict[tuple, None] = {}
+        #: (span, is_write, world) -> distinct vaddrs, in first-touch
+        #: order (Guarder precheck).
+        self.distinct: Dict[tuple, Dict[int, None]] = {}
         #: (id(table), table.version, enforce, eff_worlds) -> (table,
         #: pte_map): proven-safe PTE bundles, invalidated by the page
         #: table's mutation counter.  The table reference pins its id.
         self.pte_cache: Dict[tuple, tuple] = {}
 
 
-def _fold_transfer(fold: _Fold, transfer) -> tuple:
+def _fold_transfer(fold: _Fold, transfer, seqs: Dict[tuple, tuple]) -> tuple:
     req = transfer.request
     size = req.size
     is_write = req.is_write
@@ -204,6 +189,8 @@ def _fold_transfer(fold: _Fold, transfer) -> tuple:
     else:
         span = size
     pages = tuple(IOMMU._page_sequence(req))
+    # Re-streamed blocks touch the same pages: share one tuple per layer.
+    pages = seqs.setdefault(pages, pages)
     need = _WRITE_I if is_write else _READ_I
     page_need = fold.page_need
     for page in pages:
@@ -211,14 +198,15 @@ def _fold_transfer(fold: _Fold, transfer) -> tuple:
         page_need[page] = need if prior is None else (prior | need)
     fold.worlds.add(world)
     fold.subreq += req.sub_requests
-    npackets = req.num_packets
-    fold.packets += npackets
+    fold.packets += req.num_packets
     if is_write:
         fold.bytes_out += size
     else:
         fold.bytes_in += size
-    key = (req.vaddr, span, is_write, world)
-    fold.distinct[key] = None
+    group = fold.distinct.get((span, is_write, world))
+    if group is None:
+        group = fold.distinct[(span, is_write, world)] = {}
+    group[req.vaddr] = None
     hull = fold.hulls.get((is_write, world))
     end = req.vaddr + span
     if hull is None:
@@ -228,8 +216,7 @@ def _fold_transfer(fold: _Fold, transfer) -> tuple:
             hull[0] = req.vaddr
         if end > hull[1]:
             hull[1] = end
-    return (size, req.sub_requests, npackets, is_write, world, pages,
-            req.vaddr, span)
+    return (size, pages)
 
 
 def _fold_layer(layer) -> _Fold:
@@ -237,9 +224,10 @@ def _fold_layer(layer) -> _Fold:
     if fold is not None:
         return fold
     fold = _Fold()
+    seqs: Dict[tuple, tuple] = {}
     for it in layer.iterations():
-        loads = tuple(_fold_transfer(fold, t) for t in it.loads)
-        stores = tuple(_fold_transfer(fold, t) for t in it.stores)
+        loads = tuple(_fold_transfer(fold, t, seqs) for t in it.loads)
+        stores = tuple(_fold_transfer(fold, t, seqs) for t in it.stores)
         fold.iters.append((loads, stores, it.compute_cycles, it.macs))
         fold.macs += it.macs
     try:
@@ -313,9 +301,12 @@ def _per_iter_streams(fold: _Fold, dram, share: float) -> list:
     """Per-iteration (load_streams, store_streams, compute, macs).
 
     Stream cycles are a pure function of (size, share); sizes repeat
-    across tiles, so they are computed once per distinct size.
+    across tiles, so they are computed once per distinct size.  Equal
+    rows (every full block of a layer) share one tuple: the memo keeps
+    these lists alive across runs.
     """
     cache: Dict[int, float] = {}
+    rows: Dict[tuple, tuple] = {}
     transfer_cycles = dram.transfer_cycles
     out = []
     for loads, stores, compute, macs in fold.iters:
@@ -335,7 +326,8 @@ def _per_iter_streams(fold: _Fold, dram, share: float) -> list:
                 s = transfer_cycles(size, share)
                 cache[size] = s
             store_streams.append(s)
-        out.append((tuple(load_streams), tuple(store_streams), compute, macs))
+        row = (tuple(load_streams), tuple(store_streams), compute, macs)
+        out.append(rows.setdefault(row, row))
     return out
 
 
@@ -363,23 +355,24 @@ def _guarder_provable(ctrl: NPUGuarder, hulls, distinct) -> bool:
         return True
     translation = ctrl.translation
     checking = ctrl.checking
-    for vaddr, span, is_write, world in distinct:
-        reg = None
-        for r in translation:
-            if r is not None and r.covers(vaddr, span):
-                reg = r
-                break
-        if reg is None:
-            return False
-        pbase = reg.translate(vaddr)
+    for (span, is_write, world), vaddrs in distinct.items():
         need = _WRITE if is_write else _READ
-        allowed = False
-        for c in checking:
-            if c is not None and c.covers(pbase, span):
-                allowed = c.allows(need, world)
-                break
-        if not allowed:
-            return False
+        for vaddr in vaddrs:
+            reg = None
+            for r in translation:
+                if r is not None and r.covers(vaddr, span):
+                    reg = r
+                    break
+            if reg is None:
+                return False
+            pbase = reg.translate(vaddr)
+            allowed = False
+            for c in checking:
+                if c is not None and c.covers(pbase, span):
+                    allowed = c.allows(need, world)
+                    break
+            if not allowed:
+                return False
     return True
 
 
@@ -540,7 +533,7 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
         for transfer in loads:
             clock = cursor
             pending = 0.0
-            for vpage in transfer[5]:
+            for vpage in transfer[1]:
                 if vpage in tlb:
                     tlb_move_end(vpage)
                     hits += 1
@@ -590,7 +583,7 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
         for transfer in stores:
             clock = cursor
             pending = 0.0
-            for vpage in transfer[5]:
+            for vpage in transfer[1]:
                 if vpage in tlb:
                     tlb_move_end(vpage)
                     hits += 1
@@ -728,7 +721,9 @@ class FastRun:
                        fold.bytes_out, fold.macs)
                 entry = _MemoEntry(
                     _per_iter_streams(fold, core.dma.dram, self.share),
-                    agg, dict(fold.hulls), tuple(fold.distinct),
+                    agg, dict(fold.hulls),
+                    {group: tuple(vaddrs)
+                     for group, vaddrs in fold.distinct.items()},
                 )
                 _memo_put(key, entry)
             else:
@@ -794,7 +789,10 @@ class FastRun:
 def begin_run(core, program, share: float, flush: Optional[str]
               ) -> Optional[FastRun]:
     """Run-level eligibility gate; None (counted) when the whole run
-    must take the event path."""
+    must take the event path.  Inside :func:`reference` it is always None
+    and nothing is counted."""
+    if _REFERENCE:
+        return None
     if flush is not None:
         _fallback("flush")
         return None

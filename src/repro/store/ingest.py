@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.store.store import RunRecord, flatten_metrics
+from repro.telemetry.regression import metric_sections
 
 
 def record_from_run(
@@ -415,22 +416,11 @@ def record_from_bench(payload: Dict[str, Any], bench_id: str) -> RunRecord:
     child rows of a run whose identity is content-derived, so archiving
     them never perturbs another run's bytes.
     """
-    bench_rows: List[Dict[str, Any]] = []
-    metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and (
-        "deterministic" in metrics or "timing" in metrics
-    ):
-        for kind in ("deterministic", "timing"):
-            for name, value in (metrics.get(kind) or {}).items():
-                bench_rows.append(
-                    {"name": name, "kind": kind, "value": value}
-                )
-    else:
-        for name, value in payload.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                bench_rows.append(
-                    {"name": name, "kind": "timing", "value": value}
-                )
+    bench_rows: List[Dict[str, Any]] = [
+        {"name": name, "kind": kind, "value": value}
+        for kind, metrics in metric_sections(payload)
+        for name, value in metrics.items()
+    ]
     return RunRecord(
         verb="bench",
         experiment=bench_id,

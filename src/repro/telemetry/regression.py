@@ -13,8 +13,8 @@ whose ``metrics`` block separates two kinds of numbers:
 
 Metric direction: larger is worse, except names ending in ``_per_sec``
 or containing ``speedup``/``hits`` (throughput-style), where smaller is
-worse.  Files that predate the ``metrics`` block (flat dicts) are
-compared as timing metrics for any key that looks numeric.
+worse.  A payload without the ``metrics`` block is rejected with
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.errors import ConfigError
 
 #: Default relative tolerance for host-timing metrics.
 DEFAULT_TIMING_TOLERANCE = 0.25
@@ -139,29 +141,23 @@ class BenchComparison:
         return "\n".join([header] + lines + ["", verdict]) + "\n"
 
 
-def _metric_sections(
+def metric_sections(
     payload: Dict[str, Any],
 ) -> List[Tuple[str, Dict[str, float]]]:
-    """(kind, metrics) sections of one BENCH payload.
-
-    New-style files carry ``{"metrics": {"deterministic": {...},
-    "timing": {...}}}``; legacy flat files are treated as one timing
-    section over their numeric keys.
-    """
+    """(kind, metrics) sections of one BENCH payload's
+    ``{"metrics": {"deterministic": {...}, "timing": {...}}}`` block."""
     metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and (
+    if not isinstance(metrics, dict) or not (
         "deterministic" in metrics or "timing" in metrics
     ):
-        return [
-            (kind, dict(metrics.get(kind) or {}))
-            for kind in ("deterministic", "timing")
-        ]
-    flat = {
-        name: value
-        for name, value in payload.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
-    return [("timing", flat)]
+        raise ConfigError(
+            "bench payload has no two-section 'metrics' block "
+            "(deterministic/timing)"
+        )
+    return [
+        (kind, dict(metrics.get(kind) or {}))
+        for kind in ("deterministic", "timing")
+    ]
 
 
 def compare_bench(
@@ -172,8 +168,8 @@ def compare_bench(
 ) -> BenchComparison:
     """Compare two BENCH payloads; see the module docstring for rules."""
     comparison = BenchComparison()
-    old_sections = dict(_metric_sections(old))
-    new_sections = dict(_metric_sections(new))
+    old_sections = dict(metric_sections(old))
+    new_sections = dict(metric_sections(new))
     for kind in ("deterministic", "timing"):
         old_metrics = old_sections.get(kind, {})
         new_metrics = new_sections.get(kind, {})

@@ -1,0 +1,50 @@
+"""Exit-code contract of ``python -m repro``: 2 for bad input, 1 for a
+failed simulation, security check or reconciliation.
+
+The SLO-breach leg of exit 1 is covered by
+``test_watch_cli.py::TestSLOCLI::test_breaching_spec_exits_one``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.cli as cli
+from repro.cli import main
+from repro.errors import (
+    ReconciliationError, SecurityViolation, SimulationError,
+)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiments_rejects_nonpositive_jobs_at_parse_time(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "fig16", "--jobs", jobs, "--outdir", ""])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "resnet", "--input-size", "0"],
+    ["serve", "default", "--duration", "-1"],
+], ids=["run-input-size-0", "serve-duration-negative"])
+def test_config_error_exits_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [
+    SimulationError("kernel wedged"),
+    SecurityViolation("denied"),
+    ReconciliationError("windows disagree"),
+], ids=lambda e: type(e).__name__)
+def test_runtime_errors_exit_one(error, monkeypatch, capsys):
+    def boom(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_info", boom)
+    assert main(["info"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+

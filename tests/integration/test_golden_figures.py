@@ -84,18 +84,20 @@ def _assert_cell(exp_id: str, result_id: str, row: int, column: str,
 @pytest.mark.parametrize("fast", (False, True), ids=("event", "fast"))
 @pytest.mark.parametrize("exp_id", EXP_IDS)
 def test_golden(exp_id, fast, update_goldens):
+    """``fast`` is the default engine (replay wherever provably exact);
+    ``event`` forces the reference event walk.  Both must reproduce every
+    committed golden byte-for-byte (same floats, same strings, same
+    ordering)."""
     path = _golden_path(exp_id)
+    fastpath.clear_memo()
     if fast:
-        # The analytic fast path must reproduce every committed golden
-        # byte-for-byte (same floats, same strings, same ordering).
-        fastpath.clear_memo()
-        with fastpath.forced(True):
-            fresh = _snapshot(exp_id)
-    else:
         fresh = _snapshot(exp_id)
+    else:
+        with fastpath.reference():
+            fresh = _snapshot(exp_id)
     if update_goldens:
-        if fast:
-            return  # goldens are written once, from the event-path leg
+        if not fast:
+            return  # goldens are written once, from the default leg
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         with open(path, "w") as fh:
             json.dump(fresh, fh, indent=2, sort_keys=True)
@@ -126,12 +128,11 @@ def test_golden(exp_id, fast, update_goldens):
             for column in gold["columns"]:
                 _assert_cell(exp_id, rid, i, column, grow[column], nrow[column])
 
-    if fast:
-        # Stronger than cell-by-cell: the rendered JSON must match the
-        # committed golden file byte-for-byte.
-        dumped = json.dumps(fresh, indent=2, sort_keys=True) + "\n"
-        with open(path) as fh:
-            assert dumped == fh.read(), (
-                f"{exp_id}: fast-path snapshot is not byte-identical to "
-                f"the committed golden"
-            )
+    # Stronger than cell-by-cell: the rendered JSON must match the
+    # committed golden file byte-for-byte.
+    dumped = json.dumps(fresh, indent=2, sort_keys=True) + "\n"
+    with open(path) as fh:
+        assert dumped == fh.read(), (
+            f"{exp_id}: {'default' if fast else 'reference'} snapshot is "
+            f"not byte-identical to the committed golden"
+        )

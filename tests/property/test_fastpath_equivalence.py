@@ -1,19 +1,21 @@
 """Differential-equivalence harness for the analytic fast path.
 
 Acceptance criterion of :mod:`repro.sim.fastpath`: running any workload
-with the fast path enabled must be **observably indistinguishable** from
-the event simulator — bit-identical cycles (not approximately equal:
-``==`` on floats), bit-identical per-layer results, DMA/controller
-statistics, IOTLB state, profiler attribution (Fraction-exact category
-splits), metrics snapshots and audit ledger.  The fallback predicate is
-property-tested: any schedule the analytic model cannot prove clean must
-route to the event path (bumping ``sim.fastpath.fallbacks``) and still
-produce identical outcomes — including identical exceptions and identical
-partially-mutated statistics when the run faults.
+on the default engine must be **observably indistinguishable** from the
+reference event walk (``fastpath.reference()``) — bit-identical cycles
+(not approximately equal: ``==`` on floats), bit-identical per-layer
+results, DMA/controller statistics, IOTLB state, profiler attribution
+(Fraction-exact category splits), metrics snapshots and audit ledger.
+The fallback predicate is property-tested: any schedule the analytic
+model cannot prove clean must route to the event path (bumping
+``sim.fastpath.fallbacks``) and still produce identical outcomes —
+including identical exceptions and identical partially-mutated
+statistics when the run faults.
 """
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -81,7 +83,7 @@ def _run_soc(model_name, protection, fast, secure=False):
     """One full SoC detailed run; returns (observables, fast counters)."""
     model = _build(model_name)
     fastpath.clear_memo()
-    with fastpath.forced(fast):
+    with contextlib.nullcontext() if fast else fastpath.reference():
         with telemetry.scoped(trace=False) as scope:
             soc = SoC(SoCConfig(protection=protection))
             handle = soc.submit(model, secure=secure)
@@ -254,7 +256,7 @@ def _make_controller(kind, program):
 
 def _run_core(builder, kind, flush, share, attacker, fast):
     """Compile + run one scenario on a bare core; capture everything."""
-    with fastpath.forced(fast):
+    with contextlib.nullcontext() if fast else fastpath.reference():
         with telemetry.scoped(trace=False) as scope:
             config = NPUConfig.paper_default()
             program = TilingCompiler(config).compile(builder())

@@ -1,12 +1,14 @@
 """Unit tests for the perf-regression gate (``repro bench diff``)."""
 
 import copy
+import importlib.util
 import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.telemetry.regression import (
     DEFAULT_TIMING_TOLERANCE,
     MetricDelta,
@@ -118,13 +120,12 @@ class TestCompareBench:
         assert comparison.added == ["extra"]
         assert comparison.ok
 
-    def test_legacy_flat_files_compare_as_timing(self):
-        old = {"benchmark": "x", "wall_seconds": 1.0, "note": "text"}
-        new = {"benchmark": "x", "wall_seconds": 1.1, "note": "text"}
-        comparison = compare_bench(old, new)
-        assert [d.name for d in comparison.deltas] == ["wall_seconds"]
-        assert comparison.deltas[0].kind == "timing"
-        assert comparison.ok
+    def test_payload_without_metrics_block_is_rejected(self):
+        flat = {"benchmark": "x", "wall_seconds": 1.0, "note": "text"}
+        with pytest.raises(ConfigError, match="metrics"):
+            compare_bench(flat, BASELINE)
+        with pytest.raises(ConfigError, match="metrics"):
+            compare_bench(BASELINE, flat)
 
 
 class TestCliBenchDiff:
@@ -163,6 +164,15 @@ class TestCliBenchDiff:
         assert main(["bench", "diff", old, bad]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_flat_schema_file_exits_two(self, tmp_path, capsys):
+        old = self._write(str(tmp_path), "old.json", BASELINE)
+        flat = self._write(str(tmp_path), "flat.json",
+                           {"benchmark": "x", "wall_seconds": 1.0})
+        assert main(["bench", "diff", old, flat]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "metrics" in err
+
     def test_tolerance_flag_loosens_gate(self, tmp_path):
         new_payload = copy.deepcopy(BASELINE)
         new_payload["metrics"]["timing"]["resnet.snpu.host_seconds"] *= 3.0
@@ -191,3 +201,23 @@ def test_committed_baseline_self_diffs_clean():
     assert comparison.ok
     kinds = {d.kind for d in comparison.deltas}
     assert kinds == {"deterministic", "timing"}
+
+
+def _load_bench_common():
+    path = os.path.join(os.path.dirname(__file__), "..", "..",
+                        "benchmarks", "_common.py")
+    spec = importlib.util.spec_from_file_location("bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_write_bench_rejects_payload_without_metrics(tmp_path):
+    common = _load_bench_common()
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(ConfigError):
+        common.write_bench("x", {"benchmark": "x", "wall_seconds": 1.0},
+                           out_path=str(out))
+    assert not out.exists()
+    common.write_bench("x", BASELINE, out_path=str(out))
+    assert compare_bench_files(str(out), str(out)).ok

@@ -51,19 +51,18 @@ def _counters(snapshot) -> dict:
 
 def _run(program, config, *, controller=None, flush=None, share=1.0,
          attacker=False, functional=False, trace_buffer=False):
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=False) as scope:
-            ctrl = controller if controller is not None else _guarder()
-            core = NPUCore(
-                config, ctrl, DRAMModel(config.dram_bytes_per_cycle),
-                functional=functional,
-            )
-            if attacker:
-                core.attacker = object()
-            if trace_buffer:
-                core.dma.trace = []
-            result = core.run_detailed(program, share=share, flush=flush)
-            snapshot = scope.metrics.snapshot()
+    with telemetry.scoped(trace=False) as scope:
+        ctrl = controller if controller is not None else _guarder()
+        core = NPUCore(
+            config, ctrl, DRAMModel(config.dram_bytes_per_cycle),
+            functional=functional,
+        )
+        if attacker:
+            core.attacker = object()
+        if trace_buffer:
+            core.dma.trace = []
+        result = core.run_detailed(program, share=share, flush=flush)
+        snapshot = scope.metrics.snapshot()
     return result, _counters(snapshot)
 
 
@@ -84,11 +83,11 @@ def test_attacker_attached_forces_event_path(config, compiler):
 
 
 def test_attacker_run_matches_event_path_exactly(config, compiler):
-    """An attacker-attached run must equal a fast-disabled run bit for
+    """An attacker-attached run must equal a reference-walk run bit for
     bit (the attacker object itself performs no DMA here)."""
     program = compiler.compile(synthetic_mlp())
     with_attacker, _ = _run(program, config, attacker=True)
-    with fastpath.forced(False):
+    with fastpath.reference():
         with telemetry.scoped(trace=False):
             core = NPUCore(
                 config, _guarder(), DRAMModel(config.dram_bytes_per_cycle)
@@ -114,26 +113,24 @@ def test_nonpositive_share_forces_event_path(config, compiler):
     program = compiler.compile(synthetic_mlp())
     from repro.errors import ConfigError
 
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=False) as scope:
-            core = NPUCore(
-                config, _guarder(), DRAMModel(config.dram_bytes_per_cycle)
-            )
-            with pytest.raises(ConfigError):
-                core.run_detailed(program, share=0.0)
-            counters = _counters(scope.metrics.snapshot())
+    with telemetry.scoped(trace=False) as scope:
+        core = NPUCore(
+            config, _guarder(), DRAMModel(config.dram_bytes_per_cycle)
+        )
+        with pytest.raises(ConfigError):
+            core.run_detailed(program, share=0.0)
+        counters = _counters(scope.metrics.snapshot())
     assert counters == {"fallbacks": 1, "fallbacks.share": 1}
 
 
 def test_tracer_enabled_forces_event_path(config, compiler):
     program = compiler.compile(synthetic_mlp())
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=True) as scope:
-            core = NPUCore(
-                config, _guarder(), DRAMModel(config.dram_bytes_per_cycle)
-            )
-            core.run_detailed(program)
-            counters = _counters(scope.metrics.snapshot())
+    with telemetry.scoped(trace=True) as scope:
+        core = NPUCore(
+            config, _guarder(), DRAMModel(config.dram_bytes_per_cycle)
+        )
+        core.run_detailed(program)
+        counters = _counters(scope.metrics.snapshot())
     assert counters == {"fallbacks": 1, "fallbacks.telemetry": 1}
 
 
@@ -168,16 +165,15 @@ def test_world_switch_mid_run_forces_event_path(config, compiler):
         table.map_range(base, base, rng.size + 8192)
     smmu = TrustZoneSMMU(table, iotlb_entries=16)
     core = NPUCore(config, smmu, DRAMModel(config.dram_bytes_per_cycle))
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=False) as scope:
-            fast_run = fastpath.begin_run(core, program, 1.0, None)
-            assert fast_run is not None
-            layer = program.layers[0]
-            assert fast_run.layer(layer) is not None  # clean: runs fast
-            smmu.switch_world(World.SECURE)
-            smmu.switch_world(World.NORMAL)  # back, but switches advanced
-            assert fast_run.layer(layer) is None
-            counters = _counters(scope.metrics.snapshot())
+    with telemetry.scoped(trace=False) as scope:
+        fast_run = fastpath.begin_run(core, program, 1.0, None)
+        assert fast_run is not None
+        layer = program.layers[0]
+        assert fast_run.layer(layer) is not None  # clean: runs fast
+        smmu.switch_world(World.SECURE)
+        smmu.switch_world(World.NORMAL)  # back, but switches advanced
+        assert fast_run.layer(layer) is None
+        counters = _counters(scope.metrics.snapshot())
     assert counters.get("fallbacks.world_switch", 0) == 1
     assert counters.get("fast_layers", 0) == 1
 
@@ -196,10 +192,9 @@ def test_secure_task_on_normal_device_falls_back(config, compiler):
                         world=World.SECURE)
     smmu = TrustZoneSMMU(table, iotlb_entries=16)  # device world: NORMAL
     core = NPUCore(config, smmu, DRAMModel(config.dram_bytes_per_cycle))
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=False) as scope:
-            with pytest.raises(Exception):
-                core.run_detailed(program)
-            counters = _counters(scope.metrics.snapshot())
+    with telemetry.scoped(trace=False) as scope:
+        with pytest.raises(Exception):
+            core.run_detailed(program)
+        counters = _counters(scope.metrics.snapshot())
     assert counters.get("fallbacks.world_switch", 0) >= 1
     assert counters.get("fast_layers", 0) == 0

@@ -41,13 +41,12 @@ def _permissive_guarder() -> NPUGuarder:
 
 
 def _run(program, config, guarder=None):
-    """One fast-enabled detailed run; returns (result, fastpath counters)."""
-    with fastpath.forced(True):
-        with telemetry.scoped(trace=False) as scope:
-            ctrl = guarder if guarder is not None else _permissive_guarder()
-            core = NPUCore(config, ctrl, DRAMModel(config.dram_bytes_per_cycle))
-            result = core.run_detailed(program)
-            snapshot = scope.metrics.snapshot()
+    """One default detailed run; returns (result, fastpath counters)."""
+    with telemetry.scoped(trace=False) as scope:
+        ctrl = guarder if guarder is not None else _permissive_guarder()
+        core = NPUCore(config, ctrl, DRAMModel(config.dram_bytes_per_cycle))
+        result = core.run_detailed(program)
+        snapshot = scope.metrics.snapshot()
     prefix = fastpath.GROUP_PREFIX + "."
     counters = {
         str(key)[len(prefix):]: value
@@ -114,7 +113,7 @@ class TestWarmCache:
         program = compiler.compile(synthetic_mlp())
         _run(program, config)  # populate the memo
         warm, _ = _run(program, config)
-        with fastpath.forced(False):
+        with fastpath.reference():
             with telemetry.scoped(trace=False):
                 core = NPUCore(
                     config, _permissive_guarder(),
@@ -158,14 +157,13 @@ class TestWarmCache:
             issuer=World.SECURE,
         )
         denying.set_translation_register(0, vbase=0, pbase=0, size=1 << 40)
-        with fastpath.forced(True):
-            with telemetry.scoped(trace=False) as scope:
-                core = NPUCore(
-                    config, denying, DRAMModel(config.dram_bytes_per_cycle)
-                )
-                with pytest.raises(Exception):
-                    core.run_detailed(program)
-                snapshot = scope.metrics.snapshot()
+        with telemetry.scoped(trace=False) as scope:
+            core = NPUCore(
+                config, denying, DRAMModel(config.dram_bytes_per_cycle)
+            )
+            with pytest.raises(Exception):
+                core.run_detailed(program)
+            snapshot = scope.metrics.snapshot()
         assert snapshot.get(
             f"{fastpath.GROUP_PREFIX}.fallbacks.guarder_unprovable", 0
         ) >= 1

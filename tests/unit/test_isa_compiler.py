@@ -1,15 +1,97 @@
 """Unit tests for the schedule IR and the tiling compiler."""
 
+from typing import List
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import World
-from repro.driver.compiler import Blocking, TilingCompiler
+from repro.driver.compiler import Blocking, TilingCompiler, _ceil_div
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
 from repro.npu.isa import LayerSchedule
 from repro.workloads.model import GemmSpec
 from repro.workloads.synthetic import synthetic_cnn, synthetic_mlp
 from repro.workloads import zoo
+
+#: ``LayerSchedule`` summary fields the oracle pins, by aggregate key.
+_SUMMARY_FIELDS = (
+    ("n_iterations", "iters"), ("n_blocks", "blocks"),
+    ("load_bytes", "load_bytes"), ("store_bytes", "store_bytes"),
+    ("compute_cycles", "compute"), ("macs", "macs"),
+    ("n_load_requests", "n_load_req"), ("n_store_requests", "n_store_req"),
+)
+
+
+def _aggregate_gemm_lists(cfg: NPUConfig, spec: GemmSpec, b: Blocking) -> dict:
+    """Oracle for ``TilingCompiler._aggregate_gemm``: the same schedule
+    aggregates summed over explicit per-dimension block-size lists,
+    O(blocks) instead of O(1)."""
+    d = cfg.array_dim
+    ib, ob = cfg.input_bytes, cfg.output_bytes
+    # Bytes of raw input fetched per M-row per full-K pass: the spec
+    # counts elements, the stride is in bytes.
+    row_eff = max(ib, (spec.input_bytes_per_pass // spec.m) * ib)
+
+    def sizes(total: int, block: int) -> List[int]:
+        out = [block] * (total // block)
+        if total % block:
+            out.append(total % block)
+        return out
+
+    m_sizes = sizes(spec.m, b.mb)
+    k_sizes = sizes(spec.k, b.kb)
+    n_sizes = sizes(spec.n, b.nb)
+    halo_cap = (
+        _ceil_div(spec.input_halo_bytes * ib, row_eff)
+        if spec.input_halo_bytes
+        else 0
+    )
+    # First m block has no halo (nothing precedes it).
+    m_eff = [
+        bm + (min(bm // 2, halo_cap) if i > 0 else 0)
+        for i, bm in enumerate(m_sizes)
+    ]
+
+    nM, nK, nN = len(m_sizes), len(k_sizes), len(n_sizes)
+    iters_inner = nM * nK * nN
+    gs = _ceil_div(spec.repeat, b.pack)
+
+    sum_me = sum(m_eff)
+    sum_m = sum(m_sizes)
+    sum_n = sum(n_sizes)
+    sum_k = sum(k_sizes)
+    sum_rowb = sum(max(ib, row_eff * bk // spec.k) for bk in k_sizes)
+    sum_wtk = sum(_ceil_div(bk, d) for bk in k_sizes)
+    sum_wtn = sum(_ceil_div(bn, d) for bn in n_sizes)
+    sum_sub_m = sum(_ceil_div(me, d) for me in m_eff)
+    sum_sub_m_plain = sum(_ceil_div(bm, d) for bm in m_sizes)
+    sum_sub_k = sum(_ceil_div(bk, d) for bk in k_sizes)
+
+    rep = spec.repeat
+    preload = cfg.weight_preload_cycles
+    return {
+        "iters": iters_inner * gs,
+        "blocks": nM * nN * gs,
+        "load_bytes": float(
+            nN * sum_me * sum_rowb * rep + nM * sum_k * sum_n * ib * rep
+        ),
+        "store_bytes": float(sum_m * sum_n * ob * rep),
+        "compute": float(
+            rep * (sum_wtk * sum_wtn * (nM * preload + sum_m)
+                   + iters_inner * d)
+        ),
+        "macs": spec.m * spec.k * spec.n * rep,
+        "n_load_req": (nN * sum_sub_m * nK + nM * nN * sum_sub_k) * gs,
+        "n_store_req": nN * sum_sub_m_plain * gs,
+    }
+
+
+def _assert_same(what: str, expected, actual) -> None:
+    assert expected == actual and type(expected) is type(actual), (
+        f"{what}: {actual!r} != oracle {expected!r}"
+    )
 
 
 class TestProgramIR:
@@ -91,38 +173,32 @@ class TestBlockingSelection:
                     folded_compute += it.compute_cycles
                     folded_macs += it.macs
                 assert folded_iters == layer.n_iterations
-                assert folded_load == pytest.approx(layer.load_bytes)
-                assert folded_store == pytest.approx(layer.store_bytes)
-                assert folded_compute == pytest.approx(layer.compute_cycles)
+                assert folded_load == layer.load_bytes
+                assert folded_store == layer.store_bytes
+                assert folded_compute == layer.compute_cycles
                 assert folded_macs == layer.macs
 
     def test_fastpath_compile_bit_identical(self, cfg):
-        """The fast-path compile (closed-form aggregates) must equal the
-        event-path compile (factory fold) EXACTLY — same bits, same types
-        — for every summary field and the program measurement.  Every
-        aggregate is an integer-valued float below 2**53, so the product
-        form and the sequential sum are the same float."""
-        from repro.sim import fastpath
-
-        fields = (
-            "n_iterations", "n_blocks", "load_bytes", "store_bytes",
-            "compute_cycles", "macs", "n_load_requests", "n_store_requests",
-            "spad_lines_used", "resident_bytes",
-        )
+        """Every GEMM layer's summary equals the list-fold oracle EXACTLY
+        — same value, same type — for the models the figures compile.
+        Every aggregate is an integer-valued float below 2**53, so the
+        O(1) product form and the per-block sum are the same float."""
+        compiler = TilingCompiler(cfg)
         models = [synthetic_mlp(), synthetic_cnn(), zoo.yololite(56),
                   zoo.bert(seq_len=64, layers=2)]
         for model in models:
-            with fastpath.forced(False):
-                slow = TilingCompiler(cfg).compile(model)
-            with fastpath.forced(True):
-                fast = TilingCompiler(cfg).compile(model)
-            assert slow.measurement() == fast.measurement()
-            for a, b in zip(slow.layers, fast.layers):
-                for field in fields:
-                    va, vb = getattr(a, field), getattr(b, field)
-                    assert va == vb and type(va) is type(vb), (
-                        f"{model.name}/{a.name}.{field}: {va!r} != {vb!r}"
-                    )
+            program = compiler.compile(model)
+            gemms = [k for k in model.lower() if isinstance(k, GemmSpec)]
+            layers = [lay for lay in program.layers if lay.kind == "gemm"]
+            assert len(gemms) == len(layers)
+            for spec, layer in zip(gemms, layers):
+                meta = layer.gemm_meta
+                blocking = Blocking(meta["mb"], meta["kb"], meta["nb"],
+                                    meta["pack"])
+                oracle = _aggregate_gemm_lists(cfg, spec, blocking)
+                for field, key in _SUMMARY_FIELDS:
+                    _assert_same(f"{model.name}/{layer.name}.{field}",
+                                 oracle[key], getattr(layer, field))
 
     def test_macs_are_exact(self, cfg):
         compiler = TilingCompiler(cfg)
@@ -202,3 +278,39 @@ class TestChunkLayout:
             # Stores only happen at block completion.
             for it in iters:
                 assert bool(it.stores) == it.end_of_block
+
+
+@st.composite
+def _gemm_and_blocking(draw):
+    """A GemmSpec plus an arbitrary legal Blocking: edge blocks in every
+    dimension, single-block dimensions, halo overlap and packed repeats."""
+    m = draw(st.integers(1, 700))
+    k = draw(st.integers(1, 700))
+    n = draw(st.integers(1, 700))
+    repeat = draw(st.sampled_from([1, 1, 2, 3, 16]))
+    spec = GemmSpec(
+        "g", m=m, k=k, n=n, repeat=repeat,
+        input_bytes_per_pass=draw(st.sampled_from([m, m * k, 9 * m * k])),
+        input_halo_bytes=draw(st.sampled_from([0, 1, 64, 4096])),
+    )
+    blocking = Blocking(
+        mb=draw(st.integers(1, m + 64)),
+        kb=draw(st.integers(1, k + 64)),
+        nb=draw(st.integers(1, n + 64)),
+        pack=draw(st.integers(1, repeat)),
+    )
+    return spec, blocking
+
+
+@given(_gemm_and_blocking())
+@settings(max_examples=300, deadline=None)
+def test_fastpath_compile_bit_identical_drawn(case):
+    """The compiler's O(1) aggregate equals the list-fold oracle exactly
+    on drawn specs and blockings, not only on the ones the search picks."""
+    spec, blocking = case
+    cfg = NPUConfig.paper_default()
+    oracle = _aggregate_gemm_lists(cfg, spec, blocking)
+    agg = TilingCompiler(cfg)._aggregate_gemm(spec, blocking)
+    assert agg.keys() == oracle.keys()
+    for key in oracle:
+        _assert_same(key, oracle[key], agg[key])
