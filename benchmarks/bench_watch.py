@@ -15,6 +15,14 @@ reservoirs, exact reconciliation at close) — and writes
   budget is **<= 1.30**: windowing must stay under a 30 % tax on the
   serving simulation before it is worth shipping on by default.
 
+A second leg times per-request flow tracking, the other observability
+layer ``repro serve`` always runs: the ``default`` scenario under
+``snpu`` at 250 rps over a 20 s horizon (about 5k requests), with flows
+off and on, after one warm-up run that fills the compile caches.
+``flow_overhead_ratio`` (flows on / off) has a budget of **<= 2.0**, and
+``metrics.deterministic`` records that every completion left exactly one
+flow record.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_watch.py [duration_ms]
@@ -38,19 +46,42 @@ WINDOW_MS = 50.0
 REPS = 3
 #: Streaming-layer overhead budget (windowed / plain host seconds).
 OVERHEAD_BUDGET = 1.30
+#: The flow leg: enough requests that the per-request path dominates.
+FLOW_SCENARIO = "default"
+FLOW_RPS = 250.0
+FLOW_DURATION_MS = 20_000.0
+#: Flow-tracking overhead budget (flows on / off host seconds).
+FLOW_OVERHEAD_BUDGET = 2.0
 
 
-def _run(duration_ms: float, window_ms):
-    scenario = SCENARIOS[SCENARIO]
-    with telemetry.scoped(trace=False, profile=False):
+def _serve(scenario: str, duration_ms: float, window_ms=None, rps=None,
+           flow: bool = False):
+    """One timed serving run: ``(outcome, flow records, seconds)``."""
+    with telemetry.scoped(trace=False, profile=False, flow=flow) as scope:
         sim = ServeSimulator(
-            scenario, mechanism=MECHANISM, seed=SEED,
+            SCENARIOS[scenario], mechanism=MECHANISM, seed=SEED, rps=rps,
             duration_ms=duration_ms, window_ms=window_ms,
         )
         started = time.perf_counter()
         outcome = sim.run()
         elapsed = time.perf_counter() - started
-    return outcome, elapsed
+        records = len(scope.flows)
+    return outcome, records, elapsed
+
+
+def _flow_leg():
+    """Best-of-REPS flows-off and flows-on serving seconds."""
+    _serve(FLOW_SCENARIO, 200.0, rps=FLOW_RPS)  # warm the compile caches
+    off_seconds = []
+    on_seconds = []
+    flowed = records = None
+    for _ in range(REPS):
+        off_seconds.append(
+            _serve(FLOW_SCENARIO, FLOW_DURATION_MS, rps=FLOW_RPS)[2])
+        flowed, records, elapsed = _serve(
+            FLOW_SCENARIO, FLOW_DURATION_MS, rps=FLOW_RPS, flow=True)
+        on_seconds.append(elapsed)
+    return min(off_seconds), min(on_seconds), flowed, records
 
 
 def main(duration_ms: float = 400.0) -> int:
@@ -58,8 +89,8 @@ def main(duration_ms: float = 400.0) -> int:
     windowed_seconds = []
     outcome = windowed = None
     for _ in range(REPS):
-        outcome, plain = _run(duration_ms, None)
-        windowed, timed = _run(duration_ms, WINDOW_MS)
+        outcome, _, plain = _serve(SCENARIO, duration_ms)
+        windowed, _, timed = _serve(SCENARIO, duration_ms, WINDOW_MS)
         plain_seconds.append(plain)
         windowed_seconds.append(timed)
     # Best-of-N on both sides: host noise inflates either run, never
@@ -67,6 +98,9 @@ def main(duration_ms: float = 400.0) -> int:
     plain_best = min(plain_seconds)
     windowed_best = min(windowed_seconds)
     ratio = windowed_best / plain_best
+    flows_off, flows_on, flowed, flow_records = _flow_leg()
+    flow_ratio = flows_on / flows_off
+    flows_match = flow_records == len(flowed.completed)
 
     windows = windowed.windows
     timeline = windows.timeline()
@@ -92,11 +126,17 @@ def main(duration_ms: float = 400.0) -> int:
         "world_switches": float(windowed.world_switches),
         "slo_alerts_fired": float(len(slo.fired)),
         "slo_window_breaches": float(len(slo.breaches)),
+        "flow_completed": len(flowed.completed),
+        "flow_records": flow_records,
+        "flow_records_match_completed": float(flows_match),
     }
     timing = {
         "plain_serve_seconds": round(plain_best, 4),
         "windowed_serve_seconds": round(windowed_best, 4),
         "watch_overhead_ratio": round(ratio, 4),
+        "flows_off_serve_seconds": round(flows_off, 4),
+        "flows_on_serve_seconds": round(flows_on, 4),
+        "flow_overhead_ratio": round(flow_ratio, 4),
     }
 
     out = write_bench("watch", {
@@ -107,6 +147,12 @@ def main(duration_ms: float = 400.0) -> int:
         "duration_ms": duration_ms,
         "window_ms": WINDOW_MS,
         "overhead_budget": OVERHEAD_BUDGET,
+        "flow_leg": {
+            "scenario": FLOW_SCENARIO,
+            "rps": FLOW_RPS,
+            "duration_ms": FLOW_DURATION_MS,
+        },
+        "flow_overhead_budget": FLOW_OVERHEAD_BUDGET,
         "metrics": {
             "deterministic": deterministic,
             "timing": timing,
@@ -116,14 +162,28 @@ def main(duration_ms: float = 400.0) -> int:
         f"plain {plain_best:.3f}s  windowed {windowed_best:.3f}s  "
         f"overhead x{ratio:.3f} (budget x{OVERHEAD_BUDGET:g})"
     )
+    print(
+        f"flows off {flows_off:.3f}s  flows on {flows_on:.3f}s  "
+        f"overhead x{flow_ratio:.3f} (budget x{FLOW_OVERHEAD_BUDGET:g}); "
+        f"{flow_records} flow records for {len(flowed.completed)} completions"
+    )
     print(f"wrote {out}")
+    failures = []
     if ratio > OVERHEAD_BUDGET:
-        print(
-            f"FAIL: windowing overhead x{ratio:.3f} exceeds the "
-            f"x{OVERHEAD_BUDGET:g} budget", file=sys.stderr,
-        )
-        return 1
-    return 0
+        failures.append(
+            f"windowing overhead x{ratio:.3f} exceeds the "
+            f"x{OVERHEAD_BUDGET:g} budget")
+    if flow_ratio > FLOW_OVERHEAD_BUDGET:
+        failures.append(
+            f"flow-tracking overhead x{flow_ratio:.3f} exceeds the "
+            f"x{FLOW_OVERHEAD_BUDGET:g} budget")
+    if not flows_match:
+        failures.append(
+            f"{flow_records} flow records for "
+            f"{len(flowed.completed)} completions")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

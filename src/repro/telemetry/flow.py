@@ -13,12 +13,21 @@ and *security* components **sum exactly to the end-to-end latency**.
 
 Exactness reuses the profiler's :func:`~repro.telemetry.profiler.split_exact`
 discipline: claims are clamped in order against the cycles still
-unaccounted for, the remainder lands on a designated residual stage, and
-every quantity is stored as an exact rational (:class:`fractions.Fraction`)
-— so ``sum(stage.queueing + stage.service + stage.security) ==
-Fraction(total)`` holds bit-for-bit, by construction, for every
-completed flow (property-tested over the model zoo × protection
+unaccounted for and the remainder lands on a designated residual stage.
+The arithmetic is integer: every claim is lifted onto one common
+denominator (:func:`~repro.telemetry.profiler.split_scaled`) and only the
+resulting span components become exact rationals
+(:class:`fractions.Fraction`) — so ``sum(stage.queueing + stage.service +
+stage.security) == record.total`` holds bit-for-bit, by construction, for
+every completed flow (property-tested over the model zoo × protection
 configs).
+
+Completing a flow is cheap: :meth:`FlowTracker.complete` stores the
+claims on the :class:`FlowRecord`, and the span chain is built from them
+on the first read of :attr:`FlowRecord.stages` and cached.  Every reader
+(reports, ``verify_decomposition``, the Chrome-trace export, which reads
+eagerly while the tracer is live) sees the same values; a serving run that
+only counts its flows never builds a span.
 
 Components along the path that *see* a flow but do not own its timeline
 (the IOMMU walker, the L2, the DRAM channel) annotate it instead via
@@ -35,7 +44,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.profiler import split_exact
+# ``repro.telemetry`` imports this module while it initialises; the
+# partially-initialised package is enough here, because its ``tracer`` is
+# only read when a flow completes.
+from repro import telemetry as _telemetry
+from repro.telemetry.profiler import _exact, split_scaled
 
 _ZERO = Fraction(0)
 
@@ -72,6 +85,41 @@ class StageSpan:
         }
 
 
+#: ``(total, parts, residual)`` as handed to :meth:`FlowTracker.complete`.
+Claims = Tuple[Any, Tuple[Tuple[str, str, Any], ...], Tuple[str, str]]
+
+
+def build_stages(issue_ts: float, claims: Claims) -> List[StageSpan]:
+    """The exact span chain of one flow's *claims*.
+
+    Stages appear in first-claim order (the residual stage last unless it
+    was claimed earlier) with back-to-back timestamps from *issue_ts*; a
+    stage left with zero cycles is skipped.
+    """
+    total, parts, residual = claims
+    scale, scaled = split_scaled(
+        total, [((stage, comp), cycles) for stage, comp, cycles in parts],
+        residual,
+    )
+    spans: List[StageSpan] = []
+    cursor = issue_ts
+    for stage in dict.fromkeys([part[0] for part in parts] + [residual[0]]):
+        nums = [scaled.get((stage, comp), 0) for comp in COMPONENTS]
+        width = sum(nums)
+        if not width:
+            continue
+        queueing, service, security = (
+            Fraction(num, scale) if num else _ZERO for num in nums
+        )
+        # ``width / scale`` is the correctly rounded float of the span's
+        # exact total, as ``float(span.total)`` would be.
+        exit_ts = cursor + width / scale
+        spans.append(StageSpan(stage, cursor, exit_ts,
+                               queueing, service, security))
+        cursor = exit_ts
+    return spans
+
+
 @dataclass
 class FlowRecord:
     """One completed request flow: identity, span chain, annotations."""
@@ -82,14 +130,25 @@ class FlowRecord:
     end_ts: float
     #: Exact end-to-end latency; ``sum(span totals) == total`` always.
     total: Fraction
+    #: The stage claims the span chain is built from on first read.
+    claims: Claims
     world: str = ""
     stream: str = ""
     nbytes: int = 0
     #: Issuing context (the NPU layer name for DMA flows).
     context: str = ""
-    stages: List[StageSpan] = field(default_factory=list)
     #: Free-form accumulated annotations (walk counts, hit bytes, ...).
     meta: Dict[str, float] = field(default_factory=dict)
+    _stages: Optional[List[StageSpan]] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
+
+    @property
+    def stages(self) -> List[StageSpan]:
+        """The span chain, built from :attr:`claims` on first read."""
+        if self._stages is None:
+            self._stages = build_stages(self.issue_ts, self.claims)
+        return self._stages
 
     @property
     def security_cycles(self) -> Fraction:
@@ -198,52 +257,32 @@ class FlowTracker:
         claims (component ∈ ``COMPONENTS``); whatever the claims leave
         unaccounted lands on the *residual* ``(stage, component)``.  Stage
         spans get back-to-back timestamps starting at *issue_ts*, in
-        first-claim order.  Emits Chrome-trace flow arrows (``ph s/t/f``)
-        when the tracer is live so Perfetto links the causal chain across
-        tracks.
+        first-claim order; they are built from the stored claims when
+        :attr:`FlowRecord.stages` is first read.  Emits Chrome-trace flow
+        arrows (``ph s/t/f``) when the tracer is live so Perfetto links the
+        causal chain across tracks.
         """
         if not self.enabled or flow_id is None:
             return None
-        exact = split_exact(
-            total,
-            [(f"{stage}\x00{comp}", cyc) for stage, comp, cyc in parts],
-            f"{residual[0]}\x00{residual[1]}",
-        )
-        stage_order: List[str] = []
-        for stage, _comp, _cyc in list(parts) + [residual + (0.0,)]:
-            if stage not in stage_order:
-                stage_order.append(stage)
-        spans: List[StageSpan] = []
-        cursor = issue_ts
-        for stage in stage_order:
-            span = StageSpan(stage=stage, enter=cursor, exit=cursor)
-            for comp in COMPONENTS:
-                value = exact.get(f"{stage}\x00{comp}")
-                if value is not None:
-                    setattr(span, comp, value)
-            if span.total == _ZERO:
-                continue
-            span.exit = cursor + float(span.total)
-            cursor = span.exit
-            spans.append(span)
         record = FlowRecord(
             flow_id=flow_id,
             kind=kind,
             issue_ts=issue_ts,
             end_ts=issue_ts + float(total),
-            total=Fraction(float(total)),
+            total=_exact(total),
+            claims=(total, tuple(parts), residual),
             world=world,
             stream=stream,
             nbytes=nbytes,
             context=context,
-            stages=spans,
         )
         record.meta.update(self._pending_meta.pop(flow_id, {}))
         if len(self._records) >= self.max_flows:
             self.dropped += 1
             return None
         self._records[flow_id] = record
-        self._emit_trace(record, track or kind)
+        if _telemetry.tracer.enabled:
+            self._emit_trace(record, track or kind)
         return record
 
     def abort(self, flow_id: Optional[int]) -> None:
@@ -254,11 +293,7 @@ class FlowTracker:
     # ------------------------------------------------------------------
     def _emit_trace(self, record: FlowRecord, issue_track: str) -> None:
         """Chrome-trace spans + flow arrows for one completed flow."""
-        from repro import telemetry
-
-        tracer = telemetry.tracer
-        if not tracer.enabled:
-            return
+        tracer = _telemetry.tracer
         flow_track = f"flow.{record.kind}"
         name = f"flow#{record.flow_id}"
         tracer.flow_point(

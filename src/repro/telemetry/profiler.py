@@ -21,6 +21,8 @@ enforced *by construction*:
   are associative: per-layer attributions convert back to the *bit-exact*
   layer cycle count, and cross-process snapshot merges are independent of
   merge order (``--jobs 1`` and ``--jobs 4`` produce identical ledgers).
+  The partition itself is integer arithmetic over one common denominator
+  (:func:`split_scaled`); a ``Fraction`` is built only per output part.
 
 Category tree (leaves are what gets cycles; roots are report roll-ups)::
 
@@ -53,6 +55,7 @@ default** and every recording method bails on one attribute check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -92,6 +95,44 @@ def _exact(cycles: Any) -> Fraction:
     return Fraction(float(cycles))
 
 
+def _ratio(cycles: Any) -> Tuple[int, int]:
+    """``(numerator, denominator)`` of :func:`_exact` of *cycles*."""
+    if isinstance(cycles, Fraction):
+        return cycles.numerator, cycles.denominator
+    return float(cycles).as_integer_ratio()
+
+
+def split_scaled(
+    total: Any,
+    parts: Sequence[Tuple[Any, Any]],
+    residual: Any,
+) -> Tuple[int, Dict[Any, int]]:
+    """Integer core of :func:`split_exact`: ``(scale, {key: numerator})``.
+
+    Every input is converted once to an integer ratio and lifted onto the
+    least common denominator *scale* (floats share power-of-two
+    denominators, so this is usually the largest one); the clamp-and-
+    subtract walk then runs in plain integers.  Part ``key`` gets exactly
+    ``numerator / scale`` cycles; every numerator is positive.
+    """
+    total_num, total_den = _ratio(total)
+    ratios = [_ratio(cycles) for _key, cycles in parts]
+    scale = math.lcm(total_den, *(den for _num, den in ratios))
+    remaining = total_num * (scale // total_den)
+    out: Dict[Any, int] = {}
+    for (key, _cycles), (num, den) in zip(parts, ratios):
+        if remaining <= 0:
+            break
+        if num <= 0:
+            continue
+        claim = min(num * (scale // den), remaining)
+        out[key] = out.get(key, 0) + claim
+        remaining -= claim
+    if remaining > 0:
+        out[residual] = out.get(residual, 0) + remaining
+    return scale, out
+
+
 def split_exact(
     total: Any,
     parts: Sequence[Tuple[str, Any]],
@@ -105,20 +146,8 @@ def split_exact(
     category.  The returned values are exact rationals summing precisely
     to ``Fraction(total)``.
     """
-    remaining = _exact(total)
-    out: Dict[str, Fraction] = {}
-    for category, cycles in parts:
-        claim = _exact(cycles)
-        if claim <= _ZERO:
-            continue
-        if claim > remaining:
-            claim = remaining
-        if claim > _ZERO:
-            out[category] = out.get(category, _ZERO) + claim
-            remaining -= claim
-    if remaining > _ZERO:
-        out[residual] = out.get(residual, _ZERO) + remaining
-    return out
+    scale, scaled = split_scaled(total, parts, residual)
+    return {key: Fraction(num, scale) for key, num in scaled.items()}
 
 
 @dataclass

@@ -42,6 +42,30 @@ class TestFlowTracker:
         assert sum((s.total for s in record.stages), Fraction(0)) == 100
         verify_decomposition([record])
 
+    def test_fraction_total_keeps_its_exact_value(self):
+        # The record's total is the exact value the split partitions, so a
+        # non-dyadic total still decomposes exactly.
+        tracker = FlowTracker(enabled=True)
+        record = tracker.complete(
+            tracker.allocate(), "dma", 0.0, Fraction(10, 3),
+            parts=[("issue", "service", 1.0)], residual=("memory", "service"),
+        )
+        assert record.total == Fraction(10, 3)
+        assert record.stage("memory").service == Fraction(7, 3)
+        verify_decomposition([record])
+
+    def test_stages_are_built_once_on_first_read(self):
+        tracker = FlowTracker(enabled=True)
+        record = _complete(
+            tracker, tracker.allocate(), 10.0, [("issue", "service", 4.0)],
+        )
+        assert record.claims == (
+            10.0, (("issue", "service", 4.0),), ("memory", "service"))
+        assert record._stages is None
+        stages = record.stages
+        assert [s.stage for s in stages] == ["issue", "memory"]
+        assert record.stages is stages
+
     def test_residual_absorbs_unclaimed_cycles(self):
         tracker = FlowTracker(enabled=True)
         record = _complete(
