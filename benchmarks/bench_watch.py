@@ -1,27 +1,39 @@
-"""Benchmark the streaming-observability overhead of a windowed serving run.
+"""Benchmark the streaming-observability overhead of a serving run.
 
-Serves the ``nlp-mix`` scenario twice per repetition — once plain, once
-with ``window_ms`` set (tumbling counters, per-window latency
-reservoirs, exact reconciliation at close) — and writes
-``BENCH_watch.json`` at the repo root in the two-section schema
+Three legs, each timed best-of-``REPS`` with the two configurations
+alternated, after one warm-up run of each that fills the compile caches
+(so the first timed run does not pay the tiling compile):
+
+* **Windowed** — the ``nlp-mix`` scenario under ``snpu`` over a 20 s
+  horizon (about 4k requests), plain and with ``window_ms`` set
+  (tumbling counters, per-window latency reservoirs, the audit
+  subscriber, exact reconciliation at close).  ``watch_overhead_ratio``
+  (windowed / plain) has a budget of **<= 1.30**: windowing must stay
+  under a 30 % tax on the serving simulation before it is worth
+  shipping on by default.
+* **Flows** — the ``default`` scenario under ``snpu`` at 250 rps over a
+  20 s horizon (about 5k requests), per-request flow tracking off and
+  on.  ``flow_overhead_ratio`` has a budget of **<= 2.0**, and every
+  completion must leave exactly one flow record.
+* **Audit** — the ``default`` scenario under ``flush-layer`` at 250 rps
+  over a 20 s horizon (about 37k world switches), the security audit
+  ledger off and on.  ``audit_overhead_ratio`` has a budget of
+  **<= 1.35**, and the ledger must hold exactly one record per world
+  switch plus one per secure-world admission.
+
+``BENCH_watch.json`` at the repo root uses the two-section schema
 ``repro bench diff`` understands:
 
 * ``metrics.deterministic`` — simulated results (completions, window
-  count, per-window sums, SLO verdicts).  Bit-identical run to run; a
-  change means the serving or windowing model changed and the committed
-  baseline must move in the same PR.
-* ``metrics.timing`` — host seconds for the plain and windowed runs and
-  ``watch_overhead_ratio`` (windowed / plain).  The streaming layer's
-  budget is **<= 1.30**: windowing must stay under a 30 % tax on the
-  serving simulation before it is worth shipping on by default.
+  count, per-window sums, SLO verdicts, flow and audit record counts).
+  Bit-identical run to run; a change means the serving, windowing or
+  ledger model changed and the committed baseline must move in the
+  same PR.
+* ``metrics.timing`` — host seconds of each leg's two configurations
+  and the three overhead ratios.
 
-A second leg times per-request flow tracking, the other observability
-layer ``repro serve`` always runs: the ``default`` scenario under
-``snpu`` at 250 rps over a 20 s horizon (about 5k requests), with flows
-off and on, after one warm-up run that fills the compile caches.
-``flow_overhead_ratio`` (flows on / off) has a budget of **<= 2.0**, and
-``metrics.deterministic`` records that every completion left exactly one
-flow record.
+The script exits 1 when a ratio exceeds its budget or a record count
+is off.
 
 Usage::
 
@@ -43,6 +55,9 @@ SCENARIO = "nlp-mix"
 MECHANISM = "snpu"
 SEED = 7
 WINDOW_MS = 50.0
+#: The windowed leg's horizon: long enough that the per-request path,
+#: not start-up, dominates both runs.
+DURATION_MS = 20_000.0
 REPS = 3
 #: Streaming-layer overhead budget (windowed / plain host seconds).
 OVERHEAD_BUDGET = 1.30
@@ -52,55 +67,78 @@ FLOW_RPS = 250.0
 FLOW_DURATION_MS = 20_000.0
 #: Flow-tracking overhead budget (flows on / off host seconds).
 FLOW_OVERHEAD_BUDGET = 2.0
+#: The audit leg: the flush baseline ledgers every world switch.
+AUDIT_MECHANISM = "flush-layer"
+#: Audit-ledger overhead budget (ledger on / off host seconds).
+AUDIT_OVERHEAD_BUDGET = 1.35
 
 
-def _serve(scenario: str, duration_ms: float, window_ms=None, rps=None,
-           flow: bool = False):
-    """One timed serving run: ``(outcome, flow records, seconds)``."""
-    with telemetry.scoped(trace=False, profile=False, flow=flow) as scope:
+def _serve(scenario: str, duration_ms: float, mechanism: str = MECHANISM,
+           window_ms=None, rps=None, flow: bool = False,
+           audit_log: bool = True):
+    """One timed serving run: ``(outcome, scope counts, seconds)``."""
+    with telemetry.scoped(
+        trace=False, profile=False, flow=flow, audit_log=audit_log
+    ) as scope:
         sim = ServeSimulator(
-            SCENARIOS[scenario], mechanism=MECHANISM, seed=SEED, rps=rps,
+            SCENARIOS[scenario], mechanism=mechanism, seed=SEED, rps=rps,
             duration_ms=duration_ms, window_ms=window_ms,
         )
         started = time.perf_counter()
         outcome = sim.run()
         elapsed = time.perf_counter() - started
-        records = len(scope.flows)
-    return outcome, records, elapsed
+        counts = {"flows": len(scope.flows), "audit": len(scope.audit),
+                  "audit_dropped": scope.audit.dropped}
+    return outcome, counts, elapsed
 
 
-def _flow_leg():
-    """Best-of-REPS flows-off and flows-on serving seconds."""
-    _serve(FLOW_SCENARIO, 200.0, rps=FLOW_RPS)  # warm the compile caches
-    off_seconds = []
-    on_seconds = []
-    flowed = records = None
+def _leg(base: dict, off: dict, on: dict):
+    """Best-of-REPS seconds of *base* updated with *off* and with *on*,
+    alternated after a warm-up of each.  Returns ``(off seconds, on
+    seconds, off run, on run)``; a run is the last rep's ``(outcome,
+    scope counts)``."""
+    for extra in (off, on):
+        _serve(**{**base, **extra, "duration_ms": 200.0})
+    seconds = {"off": [], "on": []}
+    runs = {}
     for _ in range(REPS):
-        off_seconds.append(
-            _serve(FLOW_SCENARIO, FLOW_DURATION_MS, rps=FLOW_RPS)[2])
-        flowed, records, elapsed = _serve(
-            FLOW_SCENARIO, FLOW_DURATION_MS, rps=FLOW_RPS, flow=True)
-        on_seconds.append(elapsed)
-    return min(off_seconds), min(on_seconds), flowed, records
-
-
-def main(duration_ms: float = 400.0) -> int:
-    plain_seconds = []
-    windowed_seconds = []
-    outcome = windowed = None
-    for _ in range(REPS):
-        outcome, _, plain = _serve(SCENARIO, duration_ms)
-        windowed, _, timed = _serve(SCENARIO, duration_ms, WINDOW_MS)
-        plain_seconds.append(plain)
-        windowed_seconds.append(timed)
+        for side, extra in (("off", off), ("on", on)):
+            outcome, counts, elapsed = _serve(**base, **extra)
+            seconds[side].append(elapsed)
+            runs[side] = (outcome, counts)
     # Best-of-N on both sides: host noise inflates either run, never
     # deflates it, so minima give the stablest ratio.
-    plain_best = min(plain_seconds)
-    windowed_best = min(windowed_seconds)
+    return min(seconds["off"]), min(seconds["on"]), runs["off"], runs["on"]
+
+
+def main(duration_ms: float = DURATION_MS) -> int:
+    plain_best, windowed_best, (outcome, _), (windowed, _) = _leg(
+        {"scenario": SCENARIO, "duration_ms": duration_ms},
+        {}, {"window_ms": WINDOW_MS},
+    )
     ratio = windowed_best / plain_best
-    flows_off, flows_on, flowed, flow_records = _flow_leg()
+    flows_off, flows_on, _, (flowed, flow_counts) = _leg(
+        {"scenario": FLOW_SCENARIO, "duration_ms": FLOW_DURATION_MS,
+         "rps": FLOW_RPS},
+        {}, {"flow": True},
+    )
     flow_ratio = flows_on / flows_off
+    flow_records = flow_counts["flows"]
     flows_match = flow_records == len(flowed.completed)
+    audit_off, audit_on, _, (audited, audit_counts) = _leg(
+        {"scenario": FLOW_SCENARIO, "duration_ms": FLOW_DURATION_MS,
+         "rps": FLOW_RPS, "mechanism": AUDIT_MECHANISM},
+        {"audit_log": False}, {"audit_log": True},
+    )
+    audit_ratio = audit_on / audit_off
+    audit_records = audit_counts["audit"]
+    # One ``serve.world_switch`` per world switch, one ``serve.admit``
+    # per secure-world request (every admitted request completes).
+    audit_expected = audited.world_switches + sum(
+        1 for c in audited.completed if c.request.world == "secure"
+    )
+    audit_match = (audit_records == audit_expected
+                   and not audit_counts["audit_dropped"])
 
     windows = windowed.windows
     timeline = windows.timeline()
@@ -129,6 +167,9 @@ def main(duration_ms: float = 400.0) -> int:
         "flow_completed": len(flowed.completed),
         "flow_records": flow_records,
         "flow_records_match_completed": float(flows_match),
+        "audit_world_switches": audited.world_switches,
+        "audit_records": audit_records,
+        "audit_records_match_decisions": float(audit_match),
     }
     timing = {
         "plain_serve_seconds": round(plain_best, 4),
@@ -137,6 +178,9 @@ def main(duration_ms: float = 400.0) -> int:
         "flows_off_serve_seconds": round(flows_off, 4),
         "flows_on_serve_seconds": round(flows_on, 4),
         "flow_overhead_ratio": round(flow_ratio, 4),
+        "audit_off_serve_seconds": round(audit_off, 4),
+        "audit_on_serve_seconds": round(audit_on, 4),
+        "audit_overhead_ratio": round(audit_ratio, 4),
     }
 
     out = write_bench("watch", {
@@ -153,6 +197,13 @@ def main(duration_ms: float = 400.0) -> int:
             "duration_ms": FLOW_DURATION_MS,
         },
         "flow_overhead_budget": FLOW_OVERHEAD_BUDGET,
+        "audit_leg": {
+            "scenario": FLOW_SCENARIO,
+            "mechanism": AUDIT_MECHANISM,
+            "rps": FLOW_RPS,
+            "duration_ms": FLOW_DURATION_MS,
+        },
+        "audit_overhead_budget": AUDIT_OVERHEAD_BUDGET,
         "metrics": {
             "deterministic": deterministic,
             "timing": timing,
@@ -166,6 +217,11 @@ def main(duration_ms: float = 400.0) -> int:
         f"flows off {flows_off:.3f}s  flows on {flows_on:.3f}s  "
         f"overhead x{flow_ratio:.3f} (budget x{FLOW_OVERHEAD_BUDGET:g}); "
         f"{flow_records} flow records for {len(flowed.completed)} completions"
+    )
+    print(
+        f"audit off {audit_off:.3f}s  audit on {audit_on:.3f}s  "
+        f"overhead x{audit_ratio:.3f} (budget x{AUDIT_OVERHEAD_BUDGET:g}); "
+        f"{audit_records} audit records for {audit_expected} decisions"
     )
     print(f"wrote {out}")
     failures = []
@@ -181,11 +237,20 @@ def main(duration_ms: float = 400.0) -> int:
         failures.append(
             f"{flow_records} flow records for "
             f"{len(flowed.completed)} completions")
+    if audit_ratio > AUDIT_OVERHEAD_BUDGET:
+        failures.append(
+            f"audit-ledger overhead x{audit_ratio:.3f} exceeds the "
+            f"x{AUDIT_OVERHEAD_BUDGET:g} budget")
+    if not audit_match:
+        failures.append(
+            f"{audit_records} audit records ({audit_counts['audit_dropped']} "
+            f"dropped) for {audit_expected} world switches + secure "
+            f"admissions")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    ms = float(sys.argv[1]) if len(sys.argv) > 1 else 400.0
+    ms = float(sys.argv[1]) if len(sys.argv) > 1 else DURATION_MS
     raise SystemExit(main(ms))

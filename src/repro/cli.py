@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import SoC, SoCConfig, telemetry
 from repro.errors import ConfigError, ReproError
@@ -523,8 +523,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         outcome = simulator.run()
         report = ServeReport.build(outcome, scenario=scenario)
-        n_flows = len(scope.flows)
-        n_audit = len(scope.audit)
+        footer, warnings = _ledger_summary(scope)
         trace_payload = (
             scope.tracer.to_chrome_trace(indent=2) if args.trace else None
         )
@@ -544,10 +543,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     ingest_quietly(record_from_serve(report, seed=args.seed))
     _emit(payload, args.out)
-    if args.format == "table":
-        print(f"({n_flows} request flows tracked, "
-              f"{n_audit} audit records)")
+    _print_ledger_summary(footer, warnings, args.format == "table")
     return 0
+
+
+def _ledger_summary(scope: telemetry.TelemetryScope) -> Tuple[str, List[str]]:
+    """The serve footer (tracked flows, audit records and any drops) and
+    one stderr warning per collector whose cap dropped records."""
+    parts, warnings = [], []
+    for label, collector, lost in (
+        ("request flows tracked", scope.flows,
+         "flows dropped (tracker cap reached); the flow records are "
+         "incomplete"),
+        ("audit records", scope.audit,
+         "audit records dropped (ledger cap reached); the security ledger "
+         "is incomplete"),
+    ):
+        part = f"{len(collector)} {label}"
+        if collector.dropped:
+            part += f", {collector.dropped} dropped"
+            warnings.append(f"warning: {collector.dropped} {lost}")
+        parts.append(part)
+    return f"({', '.join(parts)})", warnings
+
+
+def _print_ledger_summary(
+    footer: str, warnings: List[str], table: bool
+) -> None:
+    for warning in warnings:
+        print(warning, file=sys.stderr)
+    if table:
+        print(footer)
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
@@ -586,8 +612,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                 detail_ms=args.detail,
             )
             report = simulator.run()
-        n_flows = len(scope.flows)
-        n_audit = len(scope.audit)
+        footer, warnings = _ledger_summary(scope)
     payload = _format_payload(args.format, {
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "json")
@@ -599,9 +624,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 
     ingest_quietly(record_from_cluster(report, seed=args.seed))
     _emit(payload, args.out)
-    if args.format == "table":
-        print(f"({n_flows} request flows tracked, "
-              f"{n_audit} audit records)")
+    _print_ledger_summary(footer, warnings, args.format == "table")
     return 0
 
 

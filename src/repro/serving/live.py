@@ -27,7 +27,10 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ReconciliationError
 from repro.telemetry.windows import (
     TumblingCounter,
+    WindowIndex,
     WindowReservoir,
+    exact,
+    exact_sum,
     fraction_to_jsonable,
     window_of,
 )
@@ -47,10 +50,10 @@ class ServeWindows:
         self.window_ms = float(window_ms)
         self.cycles_per_ms = float(cycles_per_ms)
         self.window_cycles = float(window_ms) * float(cycles_per_ms)
-        #: Exact per-event costs: every flush adds exactly this Fraction,
+        #: Exact per-event costs: every flush adds exactly this value,
         #: so ``count x cost`` reconciles bit-for-bit.
-        self.switch_cost = Fraction(switch_cost)
-        self.world_cost = Fraction(world_cost)
+        self.switch_cost = exact(switch_cost)
+        self.world_cost = exact(world_cost)
         self.tenant_names = sorted(tenant_names)
         w = self.window_cycles
         self.arrivals = {
@@ -77,24 +80,28 @@ class ServeWindows:
         self.flush_cycles = TumblingCounter("serve.flush_cycles", w)
         self.world_switches = TumblingCounter("serve.world_switches", w)
         self.closed_at: Optional[float] = None
+        #: One bucketing shared by every counter (same window size).
+        self._window = WindowIndex(w)
 
     # -- event hooks (called by the simulator as simulated time advances)
     def on_arrival(self, cycle: float, tenant: str) -> None:
-        self.arrivals[tenant].add(cycle)
+        self.arrivals[tenant].add_at(self._window(cycle))
 
     def on_completion(self, cycle: float, tenant: str, latency: float,
                       sla_ok: bool) -> None:
-        self.completions[tenant].add(cycle)
+        w = self._window(cycle)
+        self.completions[tenant].add_at(w)
         if sla_ok:
-            self.sla_ok[tenant].add(cycle)
-        self.latency[tenant].observe(cycle, latency)
+            self.sla_ok[tenant].add_at(w)
+        self.latency[tenant].observe(cycle, latency, window=w)
 
     def on_flush(self, cycle: float) -> None:
-        self.flushes.add(cycle)
-        self.flush_cycles.add(cycle, self.switch_cost)
+        w = self._window(cycle)
+        self.flushes.add_at(w)
+        self.flush_cycles.add_at(w, self.switch_cost)
 
     def on_world_switch(self, cycle: float) -> None:
-        self.world_switches.add(cycle)
+        self.world_switches.add_at(self._window(cycle))
 
     def on_audit(self, record: Dict[str, Any]) -> None:
         """Audit-ledger subscriber: count denials against the tenant the
@@ -138,20 +145,18 @@ class ServeWindows:
         """
         by_tenant_completed: Dict[str, int] = {t: 0 for t in self.tenant_names}
         by_tenant_ok: Dict[str, int] = {t: 0 for t in self.tenant_names}
-        latency_sum: Dict[str, Fraction] = {
-            t: Fraction(0) for t in self.tenant_names
-        }
+        latencies: Dict[str, List[float]] = {t: [] for t in self.tenant_names}
         for comp in outcome.completed:
             tenant = comp.request.tenant
             by_tenant_completed[tenant] += 1
             if comp.sla_ok:
                 by_tenant_ok[tenant] += 1
-            latency_sum[tenant] += Fraction(comp.latency)
+            latencies[tenant].append(comp.latency)
         for tenant in self.tenant_names:
             self.completions[tenant].reconcile(by_tenant_completed[tenant])
             self.sla_ok[tenant].reconcile(by_tenant_ok[tenant])
             self.latency[tenant].reconcile(
-                by_tenant_completed[tenant], latency_sum[tenant]
+                by_tenant_completed[tenant], exact_sum(latencies[tenant])
             )
         self.flushes.reconcile(outcome.flushes)
         self.flush_cycles.reconcile(

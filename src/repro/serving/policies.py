@@ -1,7 +1,8 @@
 """Dispatch policies: which queued request gets the NPU next.
 
-The simulator keeps one FIFO queue per tenant and asks the policy to
-pick among the queue *heads* — so ordering within a tenant is always
+The simulator keeps one FIFO queue per tenant (a list in the scenario's
+tenant order) and asks the policy for the index of the queue whose
+*head* runs next — so ordering within a tenant is always
 FIFO (natural batching: consecutive same-tenant requests never pay a
 protection-domain flush) and the policy decides only the inter-tenant
 schedule:
@@ -29,7 +30,7 @@ schedule:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Deque, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.workload import Request
@@ -43,7 +44,6 @@ class Policy:
     def __init__(
         self,
         name: str,
-        tenant_order: Sequence[str],
         pair_norm: Optional[Callable[[str, str], float]] = None,
     ):
         if name not in POLICIES:
@@ -51,7 +51,6 @@ class Policy:
                 f"unknown policy {name!r}; choose from {', '.join(POLICIES)}"
             )
         self.name = name
-        self.tenant_order: Tuple[str, ...] = tuple(tenant_order)
         #: ``pair_norm(running_model, candidate_model)`` — total normalized
         #: co-run time of the pairing (lower = better); wired up by the
         #: spatial simulator, None under temporal mechanisms.
@@ -60,34 +59,41 @@ class Policy:
 
     def pick(
         self,
-        candidates: Sequence[Request],
+        queues: Sequence[Deque[Request]],
         partner_model: Optional[str] = None,
-    ) -> Request:
-        """Choose among *candidates* (the non-empty tenant queue heads)."""
+    ) -> int:
+        """Index of the queue whose head gets the NPU next.
+
+        *queues* holds one FIFO per tenant, in the scenario's tenant
+        order; only non-empty queues are candidates."""
+        if self.name == "rr":
+            n = len(queues)
+            idx = self._rr_last
+            for _ in range(n):
+                idx = (idx + 1) % n
+                if queues[idx]:
+                    self._rr_last = idx
+                    return idx
+            raise ConfigError("no candidates to dispatch")
+        if self.name == "priority":
+            key = _priority_key
+        elif (self.name == "spatial" and partner_model is not None
+              and self.pair_norm is not None):
+            pair_norm = self.pair_norm
+
+            def key(r: Request):
+                return (pair_norm(partner_model, r.model), r.arrival, r.rid)
+        else:
+            key = _arrival_key
+        candidates = [i for i, queue in enumerate(queues) if queue]
         if not candidates:
             raise ConfigError("no candidates to dispatch")
-        if self.name == "fifo":
-            return min(candidates, key=lambda r: (r.arrival, r.rid))
-        if self.name == "priority":
-            return min(candidates, key=lambda r: (r.priority, r.arrival, r.rid))
-        if self.name == "rr":
-            by_tenant = {r.tenant: r for r in candidates}
-            n = len(self.tenant_order)
-            for step in range(1, n + 1):
-                idx = (self._rr_last + step) % n
-                tenant = self.tenant_order[idx]
-                if tenant in by_tenant:
-                    self._rr_last = idx
-                    return by_tenant[tenant]
-            # Candidates from tenants outside the declared order cannot
-            # happen (queues are keyed by the scenario's tenants).
-            raise ConfigError("round-robin found no candidate tenant")
-        # spatial
-        if partner_model is not None and self.pair_norm is not None:
-            return min(
-                candidates,
-                key=lambda r: (
-                    self.pair_norm(partner_model, r.model), r.arrival, r.rid
-                ),
-            )
-        return min(candidates, key=lambda r: (r.arrival, r.rid))
+        return min(candidates, key=lambda i: key(queues[i][0]))
+
+
+def _arrival_key(r: Request):
+    return (r.arrival, r.rid)
+
+
+def _priority_key(r: Request):
+    return (r.priority, r.arrival, r.rid)

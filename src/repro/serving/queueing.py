@@ -9,6 +9,11 @@ the NPU changes protection domain (tenant) it pays the scrub +
 context-switch cost, plus an extra context switch when the *world*
 changes too.  Admission happens only at quantum boundaries — the
 granularity-vs-SLA dilemma of §IV-B, now visible as tail latency.
+While the running request's tenant is the only one with work queued,
+every policy would pick it again and no flush can fall due, so its
+quanta are stepped in one inner loop until it completes or the next
+arrival is due; the ``service += q; t += q`` float sequence is the same
+as one scheduling pass per quantum, so the results are bit-identical.
 
 **Spatial (``partition`` / ``snpu``)** — two co-resident slots sharing
 the scratchpad and DRAM channel, served with the analytic co-run rates
@@ -56,6 +61,7 @@ MECHANISMS = ("snpu", "partition", "flush-tile", "flush-layer", "flush-layer5")
 SERVE_SPLITS = (0.25, 0.375, 0.5, 0.625, 0.75)
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def residual_violation_eps(latency: float) -> float:
@@ -311,12 +317,15 @@ class ServeSimulator:
         self.seed = int(seed)
         self.models = {key: build_model(key) for key in scenario.model_keys()}
         self._tenant_order = tuple(t.name for t in scenario.tenants)
+        self._tenant_index = {
+            name: i for i, name in enumerate(self._tenant_order)
+        }
         self.oracle: Optional[RateOracle] = None
         pair_norm = None
         if mechanism in ("snpu", "partition"):
             self.oracle = RateOracle(self.scheduler, self.models, mechanism)
             pair_norm = self.oracle.pair_norm
-        self.policy = Policy(policy, self._tenant_order, pair_norm=pair_norm)
+        self.policy = Policy(policy, pair_norm=pair_norm)
         self._flow_ids: Dict[int, Optional[int]] = {}
         if window_ms is not None and window_ms <= 0:
             raise ConfigError(f"window_ms must be positive, got {window_ms}")
@@ -362,7 +371,9 @@ class ServeSimulator:
                 world_cost=float(self.config.context_switch_cycles),
             )
             if audit.enabled:
-                audit.subscribe(self.windows.on_audit)
+                # The windows count denials only; other records are
+                # never built into dicts on their account.
+                audit.subscribe(self.windows.on_audit, decisions=("deny",))
         try:
             if self.mechanism.startswith("flush-"):
                 self._run_temporal(requests, outcome)
@@ -380,10 +391,10 @@ class ServeSimulator:
 
     # ------------------------------------------------------------------
     def _admit(
-        self, req: Request, queues: Dict[str, Deque[Request]]
+        self, req: Request, queues: List[Deque[Request]]
     ) -> Optional[int]:
         """Enqueue an arrival: flow allocation + secure-admission ledger."""
-        queues[req.tenant].append(req)
+        queues[self._tenant_index[req.tenant]].append(req)
         self._m_arrivals.inc()
         if self.windows is not None:
             self.windows.on_arrival(req.arrival, req.tenant)
@@ -460,26 +471,25 @@ class ServeSimulator:
         }
         switch_cost = self.switch_cost
         world_cost = float(self.config.context_switch_cycles)
+        pick = self.policy.pick
         arrivals: Deque[Request] = deque(requests)
-        queues: Dict[str, Deque[Request]] = {
-            name: deque() for name in self._tenant_order
-        }
+        queues: List[Deque[Request]] = [deque() for _ in self._tenant_order]
+        pending = 0  # requests admitted but not yet completed
         states: Dict[int, _TemporalState] = {}
         t = 0.0
         prev_tenant: Optional[str] = None
         prev_world: Optional[str] = None
-        while arrivals or any(queues.values()):
+        while arrivals or pending:
             while arrivals and arrivals[0].arrival <= t + _EPS:
                 req = arrivals.popleft()
                 flow = self._admit(req, queues)
+                pending += 1
                 states[req.rid] = _TemporalState(quanta_cache[req.model], flow)
-            if not any(queues.values()):
+            if not pending:
                 t = max(t, arrivals[0].arrival)
                 continue
-            heads = [
-                queues[name][0] for name in self._tenant_order if queues[name]
-            ]
-            req = self.policy.pick(heads)
+            queue = queues[pick(queues)]
+            req = queue[0]
             state = states[req.rid]
             if prev_tenant is not None and req.tenant != prev_tenant:
                 # Protection-domain change: scrub + context switch, plus
@@ -503,13 +513,25 @@ class ServeSimulator:
                         "serve.world_switch", "event", cycle=t,
                         world=req.world, flow=state.flow, tenant=req.tenant,
                     )
-            quantum = state.quanta[state.qi]
-            state.qi += 1
-            state.service += quantum
-            t += quantum
+            # Step one quantum.  While this tenant is the only one with
+            # work, every policy picks the same head again and no flush
+            # is due, so keep stepping until the request ends or an
+            # arrival is due (same float sequence as one scheduling pass
+            # per quantum).
+            lone = len(queue) == pending
+            next_arrival = arrivals[0].arrival if arrivals else _INF
+            quanta, qi, service = state.quanta, state.qi, state.service
+            while True:
+                service += quanta[qi]
+                t += quanta[qi]
+                qi += 1
+                if not lone or qi == len(quanta) or next_arrival <= t + _EPS:
+                    break
+            state.qi, state.service = qi, service
             prev_tenant, prev_world = req.tenant, req.world
-            if state.qi == len(state.quanta):
-                queues[req.tenant].popleft()
+            if qi == len(quanta):
+                queue.popleft()
+                pending -= 1
                 self._record_completion(
                     req, state.flow, t, state.service, state.flush,
                     state.world, outcome,
@@ -526,36 +548,30 @@ class ServeSimulator:
         assert self.oracle is not None
         oracle = self.oracle
         world_cost = float(self.config.context_switch_cycles)
+        pick = self.policy.pick
         arrivals: Deque[Request] = deque(requests)
-        queues: Dict[str, Deque[Request]] = {
-            name: deque() for name in self._tenant_order
-        }
+        queues: List[Deque[Request]] = [deque() for _ in self._tenant_order]
+        pending = 0  # requests admitted but not yet in a slot
         slots: List[Optional[_Slot]] = [None, None]
         slot_world: List[Optional[str]] = [None, None]
         t = 0.0
-        while arrivals or any(queues.values()) or any(
-            s is not None for s in slots
-        ):
+        while True:
             while arrivals and arrivals[0].arrival <= t + _EPS:
                 self._admit(arrivals.popleft(), queues)
+                pending += 1
             # Fill free slots (slot 0 first: fixed order keeps the
             # simulation deterministic).
             for i in (0, 1):
                 if slots[i] is not None:
                     continue
-                heads = [
-                    queues[name][0]
-                    for name in self._tenant_order
-                    if queues[name]
-                ]
-                if not heads:
+                if not pending:
                     break
                 partner = slots[1 - i]
-                req = self.policy.pick(
-                    heads,
+                req = queues[pick(
+                    queues,
                     partner_model=partner.req.model if partner else None,
-                )
-                queues[req.tenant].popleft()
+                )].popleft()
+                pending -= 1
                 setup = 0.0
                 if slot_world[i] is not None and slot_world[i] != req.world:
                     setup = world_cost
@@ -571,51 +587,41 @@ class ServeSimulator:
                     )
                 slot_world[i] = req.world
                 slots[i] = _Slot(req, setup, self._flow_ids.get(req.rid))
-            occupants = [i for i in (0, 1) if slots[i] is not None]
-            if not occupants:
-                if not arrivals:
-                    break
-                t = max(t, arrivals[0].arrival)
-                continue
             # Current service times: co-run rates when both slots are
             # busy, the mechanism's alone rate otherwise (snpu's alone
             # rate IS survivor expansion).
-            times: Dict[int, float] = {}
-            if len(occupants) == 2:
-                sa = slots[occupants[0]]
-                sb = slots[occupants[1]]
-                assert sa is not None and sb is not None
-                t_a, t_b = oracle.pair(sa.req.model, sb.req.model)
-                times = {occupants[0]: t_a, occupants[1]: t_b}
+            first, second = slots
+            if first is not None and second is not None:
+                t_a, t_b = oracle.pair(first.req.model, second.req.model)
+                live = ((0, first, t_a), (1, second, t_b))
+            elif first is not None:
+                live = ((0, first, oracle.alone(first.req.model)),)
+            elif second is not None:
+                live = ((1, second, oracle.alone(second.req.model)),)
+            elif arrivals:
+                t = max(t, arrivals[0].arrival)
+                continue
             else:
-                only = slots[occupants[0]]
-                assert only is not None
-                times = {occupants[0]: oracle.alone(only.req.model)}
+                break
             # Next event: a completion or the next arrival.
-            dt = None
-            for i in occupants:
-                slot = slots[i]
-                assert slot is not None
-                remaining = slot.setup + slot.work * times[i]
+            dt: Optional[float] = None
+            for _, slot, service_time in live:
+                remaining = slot.setup + slot.work * service_time
                 dt = remaining if dt is None else min(dt, remaining)
+            assert dt is not None
             if arrivals:
                 dt = min(dt, max(0.0, arrivals[0].arrival - t))
-            assert dt is not None
             # Advance: setup burns in real time, then work at the rate.
-            for i in occupants:
-                slot = slots[i]
-                assert slot is not None
+            for _, slot, service_time in live:
                 step = dt
                 if slot.setup > 0.0:
                     burned = min(step, slot.setup)
                     slot.setup -= burned
                     step -= burned
                 if step > 0.0:
-                    slot.work -= step / times[i]
+                    slot.work -= step / service_time
             t += dt
-            for i in occupants:
-                slot = slots[i]
-                assert slot is not None
+            for i, slot, _ in live:
                 if slot.setup <= _EPS and slot.work <= 1e-7:
                     self._record_completion(
                         slot.req, slot.flow, t,

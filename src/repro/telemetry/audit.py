@@ -30,6 +30,20 @@ the attack name) renders to an **identical byte sequence regardless of
 how many worker processes produced it** — the property ``repro audit
 --jobs 1`` vs ``--jobs 4`` is tested on.
 
+Storage: each appended decision is one compact row, the flat tuple
+``(seq, origin, cycle, kind, decision, world, flow, *detail keys,
+*detail values)``; the record dicts that :attr:`records`, :meth:`find`,
+:meth:`sorted_records` and :meth:`to_jsonl` return are built on read
+(detail keys sorted).  A row of plain strings and numbers holds no
+container, so the garbage collector stops tracking it at its first
+collection instead of re-scanning every ledgered decision in each full
+collection.  While a subscriber wants a record (every record, or the
+decisions it subscribed to) the dict is also built at record time and
+handed to it.  Ingested foreign records are kept as the dicts they arrive
+as.  Detail values that are not JSON primitives are converted with
+``str`` when recorded, so a later mutation of the caller's object
+cannot change the ledger.
+
 The ledger is disabled by default; ``telemetry.scoped()`` enables it
 (records are cheap: only decisions are recorded, never per-packet
 traffic, unless a caller opts into ``verbose`` allow records).
@@ -38,7 +52,14 @@ traffic, unless a caller opts into ``verbose`` allow records).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+)
+
+#: A compact row (own appends) or a record dict (ingested).
+Row = Union[Tuple[Any, ...], Dict[str, Any]]
+#: An observer and the decisions it subscribed to (None = all).
+Subscriber = Tuple[Callable[[Dict[str, Any]], None], Optional[FrozenSet[str]]]
 
 
 class AuditLedger:
@@ -56,14 +77,15 @@ class AuditLedger:
         #: before driving downstream components, so a denial raised deep
         #: in an access controller is stamped with the request's time.
         self.clock = 0.0
-        self._records: List[Dict[str, Any]] = []
+        self._rows: List[Row] = []
         self._next_seq = 0
         self._origin = ""
-        #: Streaming observers (e.g. the security sentinel) notified on
-        #: every *appended* record — never on ingest (those records were
+        #: Streaming observers (e.g. the security sentinel) and the
+        #: decisions each wants (None = all), notified on every
+        #: *appended* record — never on ingest (those records were
         #: already observed live in the worker that produced them) and
         #: never when the ledger is disabled or dropping.
-        self._subscribers: List[Callable[[Dict[str, Any]], None]] = []
+        self._subscribers: List[Subscriber] = []
 
     # ------------------------------------------------------------------
     def enable(self) -> None:
@@ -74,7 +96,7 @@ class AuditLedger:
         self.verbose = False
 
     def reset(self) -> None:
-        self._records.clear()
+        self._rows.clear()
         self._next_seq = 0
         self._origin = ""
         self.dropped = 0
@@ -83,22 +105,32 @@ class AuditLedger:
         self._subscribers.clear()
 
     # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[Dict[str, Any]], None]) -> None:
+    def subscribe(
+        self,
+        callback: Callable[[Dict[str, Any]], None],
+        decisions: Optional[Iterable[str]] = None,
+    ) -> None:
         """Register a streaming observer called with each appended record.
 
         Callbacks run synchronously inside :meth:`record`, in
         subscription order, and must not append to the ledger themselves
         (a detector reacting to a decision is an *observer*, not a new
-        decision source)."""
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
+        decision source).  With *decisions*, the callback sees only
+        records whose decision is one of them, and a record no
+        subscriber wants is not built into a dict at record time."""
+        if all(subscribed != callback for subscribed, _ in self._subscribers):
+            self._subscribers.append(
+                (callback, None if decisions is None else frozenset(decisions))
+            )
 
     def unsubscribe(self, callback: Callable[[Dict[str, Any]], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
+        self._subscribers[:] = [
+            (subscribed, wanted) for subscribed, wanted in self._subscribers
+            if subscribed != callback
+        ]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def set_origin(self, origin: str) -> None:
         """Stable partition key for records appended from now on (used by
@@ -125,30 +157,31 @@ class AuditLedger:
         """
         if not self.enabled:
             return
-        if len(self._records) >= self.max_records:
+        if len(self._rows) >= self.max_records:
             self.dropped += 1
             return
-        entry = {
-            "seq": self._next_seq,
-            "origin": self._origin,
-            "cycle": float(self.clock if cycle is None else cycle),
-            "kind": kind,
-            "decision": decision,
-            "world": world,
-            "flow": flow,
-            "detail": {k: _jsonable(v) for k, v in sorted(detail.items())},
-        }
-        self._records.append(entry)
+        for value in detail.values():
+            if not (value is None or isinstance(value, _PRIMITIVES)):
+                detail = {k: _jsonable(v) for k, v in detail.items()}
+                break
+        row = (self._next_seq, self._origin,
+               float(self.clock if cycle is None else cycle),
+               kind, decision, world, flow, *detail, *detail.values())
         self._next_seq += 1
-        for callback in self._subscribers:
-            callback(entry)
+        self._rows.append(row)
+        entry = None
+        for callback, wanted in self._subscribers:
+            if wanted is None or decision in wanted:
+                if entry is None:
+                    entry = _build(row)
+                callback(entry)
 
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
     @property
     def records(self) -> List[Dict[str, Any]]:
-        return [dict(r) for r in self._records]
+        return [_build(row) for row in self._rows]
 
     def find(
         self,
@@ -158,21 +191,23 @@ class AuditLedger:
     ) -> List[Dict[str, Any]]:
         """Records matching every given criterion (None = wildcard)."""
         out = []
-        for record in self._records:
+        for row in self._rows:
+            record = _build(row)
             if kind is not None and record["kind"] != kind:
                 continue
             if decision is not None and record["decision"] != decision:
                 continue
             if world is not None and record["world"] != world:
                 continue
-            out.append(dict(record))
+            out.append(record)
         return out
 
     def kinds(self) -> Dict[str, int]:
         """``kind -> record count`` over the ledger."""
         out: Dict[str, int] = {}
-        for record in self._records:
-            out[record["kind"]] = out.get(record["kind"], 0) + 1
+        for row in self._rows:
+            kind = row["kind"] if type(row) is dict else row[3]
+            out[kind] = out.get(kind, 0) + 1
         return dict(sorted(out.items()))
 
     def ingest(
@@ -191,14 +226,17 @@ class AuditLedger:
             record = dict(record)
             if origin is not None:
                 record["origin"] = origin
-            if len(self._records) >= self.max_records:
+            if len(self._rows) >= self.max_records:
                 self.dropped += 1
                 continue
-            self._records.append(record)
+            self._rows.append(record)
 
     def sorted_records(self) -> List[Dict[str, Any]]:
         """Records in the deterministic replay order ``(origin, seq)``."""
-        return sorted(self._records, key=lambda r: (r["origin"], r["seq"]))
+        return sorted(
+            (_build(row) for row in self._rows),
+            key=lambda r: (r["origin"], r["seq"]),
+        )
 
     def to_jsonl(self) -> str:
         """Deterministic JSONL rendering (one record per line).
@@ -215,22 +253,38 @@ class AuditLedger:
     # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
     def _export_state(
         self,
-    ) -> Tuple[bool, bool, List[Dict[str, Any]], int, str, int, float,
-               List[Callable[[Dict[str, Any]], None]]]:
-        return (self.enabled, self.verbose, self._records, self._next_seq,
+    ) -> Tuple[bool, bool, List[Row], int, str, int, float,
+               List[Subscriber]]:
+        return (self.enabled, self.verbose, self._rows, self._next_seq,
                 self._origin, self.dropped, self.clock, self._subscribers)
 
     def _restore_state(
         self,
-        state: Tuple[bool, bool, List[Dict[str, Any]], int, str, int, float,
-                     List[Callable[[Dict[str, Any]], None]]],
+        state: Tuple[bool, bool, List[Row], int, str, int, float,
+                     List[Subscriber]],
     ) -> None:
-        (self.enabled, self.verbose, self._records, self._next_seq,
+        (self.enabled, self.verbose, self._rows, self._next_seq,
          self._origin, self.dropped, self.clock, self._subscribers) = state
+
+
+_PRIMITIVES = (str, int, float, bool)
 
 
 def _jsonable(value: Any) -> Any:
     """Coerce a detail value to a JSON-stable primitive."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, _PRIMITIVES) or value is None:
         return value
     return str(value)
+
+
+def _build(row: Row) -> Dict[str, Any]:
+    """A fresh record dict for *row* (detail keys sorted; the values were
+    made JSON-stable when the row was recorded)."""
+    if type(row) is dict:
+        return dict(row)
+    half = (len(row) - 7) // 2  # detail keys, then as many values
+    return {
+        "seq": row[0], "origin": row[1], "cycle": row[2], "kind": row[3],
+        "decision": row[4], "world": row[5], "flow": row[6],
+        "detail": dict(sorted(zip(row[7:7 + half], row[7 + half:]))),
+    }

@@ -69,6 +69,21 @@ class Gauge:
         self.value = 0
 
 
+def reservoir_percentile(samples: List[Tuple[float, float]], p: float) -> float:
+    """The *p*-th percentile of retained ``(cycle, value)`` samples, by
+    linear interpolation between the sorted values (0.0 when empty)."""
+    if not samples:
+        return 0.0
+    values = sorted(float(v) for _c, v in samples)
+    if len(values) == 1:
+        return values[0]
+    rank = (p / 100.0) * (len(values) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(values) - 1)
+    frac = rank - lo
+    return values[lo] * (1.0 - frac) + values[hi] * frac
+
+
 class Histogram:
     """Aggregating histogram with cycle-stamped reservoir samples.
 
@@ -158,16 +173,7 @@ class Histogram:
         Exact while ``count <= max_samples``; an unbiased estimate (linear
         interpolation over the uniform reservoir) beyond that.
         """
-        if not self.samples:
-            return 0.0
-        values = sorted(v for _c, v in self.samples)
-        if len(values) == 1:
-            return values[0]
-        rank = (p / 100.0) * (len(values) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(values) - 1)
-        frac = rank - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
+        return reservoir_percentile(self.samples, p)
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -18,6 +18,7 @@ compilers do.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import List, Sequence, Union
 
@@ -291,14 +292,17 @@ class ModelGraph:
 
     @property
     def cache_key(self) -> str:
-        """Content-based identity (two graphs with equal names may differ)."""
-        import hashlib
-
-        digest = hashlib.sha1()
-        digest.update(self.name.encode())
-        for kernel in self.lower():
-            digest.update(repr(kernel).encode())
-        return digest.hexdigest()
+        """Content-based identity (two graphs with equal names may differ).
+        Memoised per instance; a rename or any edit of :attr:`layers` (its
+        frozen elements are compared by identity first) recomputes it."""
+        name, layers, key = getattr(self, "_key_memo", ("", None, ""))
+        if name != self.name or layers != self.layers:
+            digest = hashlib.sha1(self.name.encode())
+            for kernel in self.lower():
+                digest.update(repr(kernel).encode())
+            key = digest.hexdigest()
+            self._key_memo = (self.name, list(self.layers), key)
+        return key
 
     def summary(self) -> str:
         kernels = self.lower()

@@ -1,9 +1,11 @@
 """Integration tests for ``repro serve`` and the §IV-B acceptance ordering."""
 
 import json
+import re
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main
 from repro.driver.scheduler import MultiTaskScheduler
 from repro.npu.config import NPUConfig
@@ -51,6 +53,34 @@ class TestServeCLI:
             assert name in out
         assert "request flows tracked" in out
         assert "audit records" in out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ledger_drops_warn_and_reach_the_footer(
+        self, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setattr(telemetry.audit, "max_records", 5)
+        assert main([
+            "serve", "default", "--mechanism", "flush-layer",
+            "--duration", "200", "--workers", workers,
+        ]) == 0
+        captured = capsys.readouterr()
+        warning = re.search(
+            r"^warning: (\d+) audit records dropped \(ledger cap reached\)",
+            captured.err, re.MULTILINE,
+        )
+        assert warning is not None, captured.err
+        dropped = int(warning.group(1))
+        assert dropped > 0
+        assert f"5 audit records, {dropped} dropped)" in captured.out
+        assert "flows dropped" not in captured.err
+
+    def test_no_drop_warning_under_the_cap(self, capsys):
+        assert main([
+            "serve", "default", "--mechanism", "flush-layer",
+            "--duration", "200",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "dropped" not in captured.err + captured.out
 
     def test_trace_file_is_chrome_trace(self, tmp_path):
         trace = tmp_path / "serve.trace.json"

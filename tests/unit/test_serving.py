@@ -1,9 +1,11 @@
 """Unit tests for the multi-tenant serving simulator (:mod:`repro.serving`)."""
 
 import json
+from collections import deque
 
 import pytest
 
+from repro import telemetry
 from repro.driver.scheduler import MultiTaskScheduler
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
@@ -109,41 +111,54 @@ class TestWorkload:
 
 
 class TestPolicy:
+    """``pick`` gets the per-tenant queues in tenant order and returns the
+    index of the queue whose head runs next."""
+
     def test_fifo_picks_earliest_arrival(self):
-        policy = Policy("fifo", ("a", "b"))
+        policy = Policy("fifo")
         first = _req(1, tenant="b", arrival=5.0)
-        assert policy.pick([_req(0, tenant="a", arrival=9.0), first]) is first
+        queues = [deque([_req(0, tenant="a", arrival=9.0)]), deque([first])]
+        assert policy.pick(queues) == 1
 
     def test_priority_beats_arrival(self):
-        policy = Policy("priority", ("a", "b"))
+        policy = Policy("priority")
         urgent = _req(1, tenant="b", arrival=9.0, priority=0)
         late = _req(0, tenant="a", arrival=1.0, priority=2)
-        assert policy.pick([late, urgent]) is urgent
+        assert policy.pick([deque([late]), deque([urgent])]) == 1
 
     def test_rr_rotates_over_tenants(self):
-        policy = Policy("rr", ("a", "b", "c"))
-        heads = [_req(0, tenant="a"), _req(1, tenant="b"), _req(2, tenant="c")]
-        picked = [policy.pick(heads).tenant for _ in range(4)]
-        assert picked == ["a", "b", "c", "a"]
+        policy = Policy("rr")
+        queues = [deque([_req(i, tenant=t)]) for i, t in enumerate("abc")]
+        picked = [policy.pick(queues) for _ in range(4)]
+        assert picked == [0, 1, 2, 0]
 
     def test_rr_skips_empty_tenants(self):
-        policy = Policy("rr", ("a", "b", "c"))
-        heads = [_req(0, tenant="c")]
-        assert policy.pick(heads).tenant == "c"
+        policy = Policy("rr")
+        queues = [deque(), deque(), deque([_req(0, tenant="c")])]
+        assert policy.pick(queues) == 2
+        queues[0].append(_req(1, tenant="a"))
+        # The rotation wraps past the last index back to the first.
+        assert policy.pick(queues) == 0
 
     def test_spatial_prefers_best_pairing(self):
         norms = {("m", "x"): 3.0, ("m", "y"): 2.0}
-        policy = Policy("spatial", ("a", "b"),
+        policy = Policy("spatial",
                         pair_norm=lambda run, cand: norms[(run, cand)])
         x = _req(0, tenant="a", model="x", arrival=0.0)
         y = _req(1, tenant="b", model="y", arrival=9.0)
-        assert policy.pick([x, y], partner_model="m") is y
+        queues = [deque([x]), deque([y])]
+        assert policy.pick(queues, partner_model="m") == 1
         # Without a running partner it degrades to fifo order.
-        assert policy.pick([x, y], partner_model=None) is x
+        assert policy.pick(queues, partner_model=None) == 0
+
+    def test_no_candidates_rejected(self):
+        for name in POLICIES:
+            with pytest.raises(ConfigError, match="no candidates"):
+                Policy(name).pick([deque(), deque()])
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown policy"):
-            Policy("lifo", ("a",))
+            Policy("lifo")
 
 
 class TestRateOracle:
@@ -508,3 +523,34 @@ class TestRpsSemantics:
                 SCENARIOS["default"], duration_ms=0.0,
                 scheduler=shared_scheduler,
             )
+
+
+class TestWindowedDenials:
+    def test_denials_during_a_run_reach_the_windows(
+        self, shared_scheduler, monkeypatch
+    ):
+        """The windows subscribe to ``deny`` records only; every denial
+        ledgered during the run lands in its tenant's window."""
+        admit = ServeSimulator._admit
+
+        def admit_and_deny(self, req, queues):
+            telemetry.audit.record(
+                "spad.deny", "deny", cycle=req.arrival, world=req.world,
+                tenant=req.tenant,
+            )
+            return admit(self, req, queues)
+
+        monkeypatch.setattr(ServeSimulator, "_admit", admit_and_deny)
+        with telemetry.scoped(trace=False, profile=False):
+            outcome = ServeSimulator(
+                SCENARIOS["default"], mechanism="flush-layer",
+                duration_ms=SHORT_MS, seed=3, scheduler=shared_scheduler,
+                window_ms=10.0,
+            ).run()
+        timeline = outcome.windows.timeline()
+        assert sum(
+            row["denies"] for rec in timeline for row in rec["tenants"].values()
+        ) == len(outcome.completed) > 0
+        for rec in timeline:
+            for row in rec["tenants"].values():
+                assert row["denies"] == row["arrivals"]

@@ -1,5 +1,9 @@
 """Unit tests for the workload zoo and layer lowering."""
 
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.errors import ConfigError
@@ -10,6 +14,7 @@ from repro.workloads.model import (
     DenseSpec,
     EltwiseSpec,
     GemmSpec,
+    ModelGraph,
     PoolSpec,
     VectorSpec,
 )
@@ -152,3 +157,58 @@ class TestZoo:
     def test_summary_is_readable(self):
         text = zoo.yololite(112).summary()
         assert "yololite" in text and "GEMM" in text
+
+
+def _key_in_worker(graph):
+    return graph.cache_key
+
+
+class TestCacheKeyMemo:
+    """``cache_key`` is memoised and revalidated on name + layer identity."""
+
+    @staticmethod
+    def _fresh_key(graph):
+        return ModelGraph(graph.name, list(graph.layers)).cache_key
+
+    def test_repeat_calls_do_not_relower(self, monkeypatch):
+        graph = zoo.yololite(112)
+        key = graph.cache_key
+        calls = []
+        monkeypatch.setattr(
+            ModelGraph, "lower", lambda self: calls.append(1) or []
+        )
+        assert graph.cache_key == key
+        assert calls == []
+
+    def test_add_invalidates(self):
+        graph = zoo.yololite(112)
+        before = graph.cache_key
+        graph.add(EltwiseSpec("extra", elements=64))
+        assert graph.cache_key != before
+        assert graph.cache_key == self._fresh_key(graph)
+
+    def test_direct_layer_edits_invalidate(self):
+        graph = zoo.yololite(112)
+        before = graph.cache_key
+        graph.layers.append(EltwiseSpec("extra", elements=64))
+        appended = graph.cache_key
+        assert appended != before
+        assert appended == self._fresh_key(graph)
+        graph.layers[-1] = EltwiseSpec("extra", elements=128)
+        assert graph.cache_key not in (before, appended)
+        assert graph.cache_key == self._fresh_key(graph)
+
+    def test_rename_invalidates(self):
+        graph = zoo.yololite(112)
+        before = graph.cache_key
+        graph.name = "yololite-renamed"
+        assert graph.cache_key != before
+        assert graph.cache_key == self._fresh_key(graph)
+
+    def test_memo_survives_pickling_to_a_worker(self):
+        graph = zoo.yololite(112)
+        key = graph.cache_key
+        assert pickle.loads(pickle.dumps(graph)).cache_key == key
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_key_in_worker, graph).result() == key
