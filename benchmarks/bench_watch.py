@@ -1,8 +1,11 @@
 """Benchmark the streaming-observability overhead of a serving run.
 
-Three legs, each timed best-of-``REPS`` with the two configurations
-alternated, after one warm-up run of each that fills the compile caches
-(so the first timed run does not pay the tiling compile):
+Three legs, each timed as ``PAIRS`` back-to-back pairs of the two
+configurations, after one warm-up run of each that fills the compile
+caches (so the first timed run does not pay the tiling compile).  Each
+overhead ratio is the median of the per-pair ratios: a neighbour's load
+burst inflates one pair, not the median, where best-of-3 over runs of
+0.05-0.2 s swung by +-0.25:
 
 * **Windowed** — the ``nlp-mix`` scenario under ``snpu`` over a 20 s
   horizon (about 4k requests), plain and with ``window_ms`` set
@@ -29,8 +32,8 @@ alternated, after one warm-up run of each that fills the compile caches
   Bit-identical run to run; a change means the serving, windowing or
   ledger model changed and the committed baseline must move in the
   same PR.
-* ``metrics.timing`` — host seconds of each leg's two configurations
-  and the three overhead ratios.
+* ``metrics.timing`` — median host seconds of each leg's two
+  configurations and the three median pair ratios.
 
 The script exits 1 when a ratio exceeds its budget or a record count
 is off.
@@ -42,6 +45,7 @@ Usage::
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 
@@ -58,7 +62,8 @@ WINDOW_MS = 50.0
 #: The windowed leg's horizon: long enough that the per-request path,
 #: not start-up, dominates both runs.
 DURATION_MS = 20_000.0
-REPS = 3
+#: Alternated (off, on) pairs timed per leg.
+PAIRS = 15
 #: Streaming-layer overhead budget (windowed / plain host seconds).
 OVERHEAD_BUDGET = 1.30
 #: The flow leg: enough requests that the per-request path dominates.
@@ -93,44 +98,43 @@ def _serve(scenario: str, duration_ms: float, mechanism: str = MECHANISM,
 
 
 def _leg(base: dict, off: dict, on: dict):
-    """Best-of-REPS seconds of *base* updated with *off* and with *on*,
-    alternated after a warm-up of each.  Returns ``(off seconds, on
-    seconds, off run, on run)``; a run is the last rep's ``(outcome,
-    scope counts)``."""
+    """Time PAIRS alternated runs of *base* updated with *off* and with
+    *on*, after a warm-up of each.  Returns ``(off seconds, on seconds,
+    on/off ratio, off run, on run)``: the medians over the pairs, and
+    the last pair's ``(outcome, scope counts)``."""
     for extra in (off, on):
         _serve(**{**base, **extra, "duration_ms": 200.0})
     seconds = {"off": [], "on": []}
     runs = {}
-    for _ in range(REPS):
+    for _ in range(PAIRS):
         for side, extra in (("off", off), ("on", on)):
             outcome, counts, elapsed = _serve(**base, **extra)
             seconds[side].append(elapsed)
             runs[side] = (outcome, counts)
-    # Best-of-N on both sides: host noise inflates either run, never
-    # deflates it, so minima give the stablest ratio.
-    return min(seconds["off"]), min(seconds["on"]), runs["off"], runs["on"]
+    median = statistics.median
+    ratio = median(on_s / off_s
+                   for off_s, on_s in zip(seconds["off"], seconds["on"]))
+    return (median(seconds["off"]), median(seconds["on"]), ratio,
+            runs["off"], runs["on"])
 
 
 def main(duration_ms: float = DURATION_MS) -> int:
-    plain_best, windowed_best, (outcome, _), (windowed, _) = _leg(
+    plain_s, windowed_s, ratio, (outcome, _), (windowed, _) = _leg(
         {"scenario": SCENARIO, "duration_ms": duration_ms},
         {}, {"window_ms": WINDOW_MS},
     )
-    ratio = windowed_best / plain_best
-    flows_off, flows_on, _, (flowed, flow_counts) = _leg(
+    flows_off, flows_on, flow_ratio, _, (flowed, flow_counts) = _leg(
         {"scenario": FLOW_SCENARIO, "duration_ms": FLOW_DURATION_MS,
          "rps": FLOW_RPS},
         {}, {"flow": True},
     )
-    flow_ratio = flows_on / flows_off
     flow_records = flow_counts["flows"]
     flows_match = flow_records == len(flowed.completed)
-    audit_off, audit_on, _, (audited, audit_counts) = _leg(
+    audit_off, audit_on, audit_ratio, _, (audited, audit_counts) = _leg(
         {"scenario": FLOW_SCENARIO, "duration_ms": FLOW_DURATION_MS,
          "rps": FLOW_RPS, "mechanism": AUDIT_MECHANISM},
         {"audit_log": False}, {"audit_log": True},
     )
-    audit_ratio = audit_on / audit_off
     audit_records = audit_counts["audit"]
     # One ``serve.world_switch`` per world switch, one ``serve.admit``
     # per secure-world request (every admitted request completes).
@@ -172,8 +176,8 @@ def main(duration_ms: float = DURATION_MS) -> int:
         "audit_records_match_decisions": float(audit_match),
     }
     timing = {
-        "plain_serve_seconds": round(plain_best, 4),
-        "windowed_serve_seconds": round(windowed_best, 4),
+        "plain_serve_seconds": round(plain_s, 4),
+        "windowed_serve_seconds": round(windowed_s, 4),
         "watch_overhead_ratio": round(ratio, 4),
         "flows_off_serve_seconds": round(flows_off, 4),
         "flows_on_serve_seconds": round(flows_on, 4),
@@ -190,6 +194,7 @@ def main(duration_ms: float = DURATION_MS) -> int:
         "seed": SEED,
         "duration_ms": duration_ms,
         "window_ms": WINDOW_MS,
+        "pairs": PAIRS,
         "overhead_budget": OVERHEAD_BUDGET,
         "flow_leg": {
             "scenario": FLOW_SCENARIO,
@@ -210,7 +215,7 @@ def main(duration_ms: float = DURATION_MS) -> int:
         },
     })
     print(
-        f"plain {plain_best:.3f}s  windowed {windowed_best:.3f}s  "
+        f"plain {plain_s:.3f}s  windowed {windowed_s:.3f}s  "
         f"overhead x{ratio:.3f} (budget x{OVERHEAD_BUDGET:g})"
     )
     print(

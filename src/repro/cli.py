@@ -582,7 +582,9 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from repro.serving.workload import SCENARIOS
 
     scenario = SCENARIOS[args.scenario]
-    requests = None if args.requests is None else int(args.requests)
+    # ClusterSimulator validates the count (finite, non-negative) and
+    # truncates it to an int.
+    requests = args.requests
     with telemetry.scoped(trace=False, profile=False, flow=True) as scope:
         if args.autoscale:
             report = autoscale(
@@ -1168,6 +1170,8 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
         model = zoo.MODEL_BUILDERS[args.model](64, 2)
     else:
         model = zoo.MODEL_BUILDERS[args.model](args.input_size)
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be non-negative, got {args.limit}")
     program = TilingCompiler(NPUConfig.paper_default()).compile(model)
     stream = lower_program(program)
     if args.limit:

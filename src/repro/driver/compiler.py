@@ -25,12 +25,20 @@ Guarder/IOMMU accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.types import AddressRange, DmaRequest, World
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
-from repro.npu.isa import LayerSchedule, NPUProgram, SpadTransfer, TileIteration
+from repro.npu.isa import (
+    BlockShape,
+    LayerSchedule,
+    NPUProgram,
+    SpadTransfer,
+    StepRun,
+    TileIteration,
+)
 from repro.npu.systolic import SystolicArray
 from repro.workloads.model import GemmSpec, Kernel, ModelGraph, VectorSpec
 
@@ -52,6 +60,41 @@ def _round_up(a: int, b: int) -> int:
     return _ceil_div(a, b) * b
 
 
+def _size_runs(total: int, block: int) -> List[Tuple[int, int]]:
+    """``(size, count)`` runs of splitting *total* into *block*-sized
+    pieces: ``q`` full pieces, then the edge piece if any."""
+    q, r = divmod(total, block)
+    return [(block, q)] * (q > 0) + [(r, 1)] * (r > 0)
+
+
+def _block_table(
+    candidates: List[tuple], order: List[Tuple[int, int]]
+) -> Tuple[Tuple[BlockShape, ...], Tuple[Tuple[int, int], ...]]:
+    """Intern block step tuples into distinct :class:`BlockShape` s.
+
+    *candidates* are the blocks' :class:`StepRun` tuples; *order* is the
+    schedule-order ``(candidate index, count)`` run list.  Equal step
+    tuples share one shape and adjacent runs of one shape merge, so the
+    result is the grouping of the iteration factory by block.
+    """
+    index: Dict[tuple, int] = {}
+    remap = [index.setdefault(steps, len(index)) for steps in candidates]
+    counts = [0] * len(index)
+    runs: List[List[int]] = []
+    for cand, count in order:
+        shape = remap[cand]
+        counts[shape] += count
+        if runs and runs[-1][0] == shape:
+            runs[-1][1] += count
+        else:
+            runs.append([shape, count])
+    shapes = tuple(
+        BlockShape(count=counts[i], steps=steps)
+        for steps, i in index.items()
+    )
+    return shapes, tuple((shape, count) for shape, count in runs)
+
+
 @dataclass(frozen=True)
 class Blocking:
     """Chosen block sizes for one GEMM layer (elements, not bytes)."""
@@ -61,6 +104,69 @@ class Blocking:
     nb: int
     #: Groups of a repeated GEMM packed into one tile iteration.
     pack: int = 1
+
+
+@lru_cache(maxsize=4096)
+def _gemm_block_shapes(
+    config: NPUConfig, spec: GemmSpec, b: Blocking, row_eff: int
+) -> Tuple[Tuple[BlockShape, ...], Tuple[Tuple[int, int], ...]]:
+    """Exact block shapes of the schedule that
+    :meth:`TilingCompiler._gemm_iteration` emits.
+
+    The same ``divmod`` split as :meth:`TilingCompiler._aggregate_gemm`:
+    a block is a (pack group, n block, m block) triple, where the m block
+    is the first (no halo), a middle one (halo ``hf``) or the edge (halo
+    ``he``); its k-steps are the full k blocks then the edge one.
+    Memoised: a pure function of frozen inputs, and experiments
+    recompile the same kernels dozens of times.
+    """
+    ib, ob = config.input_bytes, config.output_bytes
+    gemm_cycles = SystolicArray(config).gemm_block_cycles
+    halo_cap = (
+        _ceil_div(spec.input_halo_bytes * ib, row_eff)
+        if spec.input_halo_bytes
+        else 0
+    )
+    k_runs = _size_runs(spec.k, b.kb)
+    # (rows, halo rows, count): every m block but the first re-fetches
+    # the receptive-field halo of its predecessor.
+    m_runs = []
+    for bm, count in _size_runs(spec.m, b.mb):
+        if not m_runs:
+            m_runs.append((bm, 0, 1))
+            count -= 1
+        if count:
+            m_runs.append((bm, min(bm // 2, halo_cap), count))
+
+    candidates: List[tuple] = []
+    order: List[Tuple[int, int]] = []
+    for gp, g_count in _size_runs(spec.repeat, b.pack):
+        group_order: List[Tuple[int, int]] = []
+        for bn, n_count in _size_runs(spec.n, b.nb):
+            n_order = []
+            for bm, halo, m_count in m_runs:
+                steps = [
+                    StepRun(
+                        k_count,
+                        ((bm + halo) * max(ib, row_eff * bk // spec.k) * gp,
+                         bk * bn * ib * gp),
+                        (),
+                        gemm_cycles(bm, bk, bn) * gp,
+                    )
+                    for bk, k_count in k_runs
+                ]
+                # The last k-step drains the output block.
+                last = steps.pop()
+                if last.count > 1:
+                    steps.append(last._replace(count=last.count - 1))
+                steps.append(
+                    last._replace(count=1, stores=(bm * bn * ob * gp,))
+                )
+                n_order.append((len(candidates), m_count))
+                candidates.append(tuple(steps))
+            group_order += n_order * n_count
+        order += group_order * g_count
+    return _block_table(candidates, order)
 
 
 @dataclass
@@ -363,7 +469,14 @@ class TilingCompiler:
         }
 
     def _estimate_layer_time(self, spec: GemmSpec, b: Blocking) -> float:
-        """The analytic layer time the core will charge for this blocking."""
+        """O(1) ranking proxy for :meth:`_choose_blocking`.
+
+        It averages edge blocks and issue costs over the layer, so it is
+        *not* the time the core charges (that is the exact block-shape
+        fold of :meth:`~repro.npu.core.NPUCore.run_analytic`); it only
+        orders candidate blockings, and every compiled schedule depends
+        on that order staying as it is.
+        """
         agg = self._aggregate_gemm(spec, b)
         bw = self.config.dram_bytes_per_cycle
         iters = agg["iters"]
@@ -446,6 +559,9 @@ class TilingCompiler:
         # as the factory and equal its sequential fold exactly (every term
         # is an integer-valued float below 2**53).
         agg = self._aggregate_gemm(spec, blocking)
+        block_shapes, block_runs = _gemm_block_shapes(
+            cfg, spec, blocking, row_eff
+        )
         spad_lines_used = min(
             cfg.spad_lines,
             2 * (mb * kb + kb * nb) * cfg.input_bytes // cfg.spad_line_bytes,
@@ -463,6 +579,8 @@ class TilingCompiler:
             spad_lines_used=max(spad_lines_used, 1),
             n_load_requests=agg["n_load_req"],
             n_store_requests=agg["n_store_req"],
+            block_shapes=block_shapes,
+            block_runs=block_runs,
             iteration_factory=iterations,
             gemm_meta={
                 "m": spec.m,
@@ -612,6 +730,9 @@ class TilingCompiler:
         n_iter = _ceil_div(in_total, chunk)
         out_chunk = _ceil_div(out_total, n_iter)
         elems_chunk = _ceil_div(spec.elements, n_iter)
+        chunk_compute = self._systolic.vector_cycles(
+            elems_chunk * spec.ops_per_element
+        )
         d = cfg.array_dim
 
         def iterations() -> Iterator[TileIteration]:
@@ -649,13 +770,29 @@ class TilingCompiler:
                             lines=_ceil_div(out_req.size, cfg.spad_line_bytes),
                         )
                     ],
-                    compute_cycles=self._systolic.vector_cycles(
-                        elems_chunk * spec.ops_per_element
-                    ),
+                    compute_cycles=chunk_compute,
                     macs=0,
                     end_of_block=True,
                     layer_index=index,
                 )
+
+        # Each chunk is one single-step block.  The input chunk is full
+        # except the last; the output chunk is full up to chunk ``a``,
+        # then the remainder, then the 1-byte minimum - so the sizes only
+        # change at chunks a, a + 1 and n_iter - 1.
+        def chunk_steps(i: int) -> tuple:
+            in_sz = max(1, min(chunk, in_total - i * chunk))
+            out_sz = max(1, min(out_chunk, out_total - i * out_chunk))
+            return (StepRun(1, (in_sz,), (out_sz,), chunk_compute),)
+
+        a = out_total // out_chunk if out_chunk else 0
+        edges = sorted(
+            {0, n_iter} | {e for e in (a, a + 1, n_iter - 1) if e < n_iter}
+        )
+        block_shapes, block_runs = _block_table(
+            [chunk_steps(lo) for lo in edges[:-1]],
+            [(i, hi - lo) for i, (lo, hi) in enumerate(zip(edges, edges[1:]))],
+        )
 
         return LayerSchedule(
             name=spec.name,
@@ -672,5 +809,7 @@ class TilingCompiler:
             spad_lines_used=max(1, chunk // cfg.spad_line_bytes),
             n_load_requests=max(1, _ceil_div(in_total, d * cfg.spad_line_bytes)),
             n_store_requests=max(1, _ceil_div(out_total, d * cfg.spad_line_bytes)),
+            block_shapes=block_shapes,
+            block_runs=block_runs,
             iteration_factory=iterations,
         )

@@ -194,23 +194,7 @@ class MultiTaskScheduler:
         """
         if mechanism in ("partition", "snpu"):
             return PreemptionStats(mechanism, 0.0, 0.0, 0)
-        result = self.run(model)
-        program = self.compile_cached(model, self.config.spad_bytes)
-        if mechanism == "tile":
-            quanta = [
-                lr.cycles / max(1, ls.n_blocks)
-                for lr, ls in zip(result.layers, program.layers)
-                for _ in range(max(1, ls.n_blocks))
-            ]
-        elif mechanism == "layer":
-            quanta = [lr.cycles for lr in result.layers]
-        elif mechanism == "layer5":
-            per_layer = [lr.cycles for lr in result.layers]
-            quanta = [
-                sum(per_layer[i : i + 5]) for i in range(0, len(per_layer), 5)
-            ]
-        else:
-            raise ConfigError(f"unknown mechanism {mechanism!r}")
+        quanta = self._quanta(model, mechanism)
         total = sum(quanta)
         mean_wait = sum(q * q for q in quanta) / (2.0 * total) if total else 0.0
         return PreemptionStats(
@@ -323,14 +307,9 @@ class MultiTaskScheduler:
     ) -> List[float]:
         """Scheduling quanta (cycles) of one task at a flush granularity."""
         result = self.run(model, flush=granularity if flushed else None)
-        program = self.compile_cached(model, self.config.spad_bytes)
-        per_layer = [lr.cycles for lr in result.layers]
         if granularity == "tile":
-            out: List[float] = []
-            for lr, ls in zip(result.layers, program.layers):
-                blocks = max(1, ls.n_blocks)
-                out.extend([lr.cycles / blocks] * blocks)
-            return out
+            return [q for lr in result.layers for q in lr.block_cycles]
+        per_layer = [lr.cycles for lr in result.layers]
         if granularity == "layer":
             return per_layer
         if granularity == "layer5":

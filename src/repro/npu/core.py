@@ -1,11 +1,18 @@
 """A single NPU core executing op schedules.
 
-Two timing paths produce the figures:
+One stall-free timing rule prices every layer: each k-step pays
+``max(load, compute, store)`` (``ISSUE_CYCLES`` charged once per DMA
+transfer), and each pipeline segment adds its first load and its last
+store.  A layer is one segment, or under ``flush="tile"`` every output
+block is its own segment followed by a flush boundary; ``layer`` and
+``layer5`` add one boundary per layer / five layers.  Two paths apply
+it:
 
-* :meth:`NPUCore.run_analytic` — folds each layer's uniform block math
-  through the double-buffered pipeline model.  Exact for stall-free
-  controllers (Guarder / NoProtection), and fast enough to sweep budgets
-  and granularities (Figs. 1, 14, 15, 17).
+* :meth:`NPUCore.run_analytic` — folds the rule over the compiler's
+  exact block shapes (:class:`~repro.npu.isa.BlockShape`), O(distinct
+  shapes) per layer, and returns each layer's per-block cycles next to
+  its total (the flush baseline's scheduling quanta).  Fast enough to
+  sweep budgets and granularities (Figs. 1, 14, 15, 17, serving).
 * :meth:`NPUCore.run_detailed` — the actual page-touch sequence drives
   IOTLB hits/misses and page walks (Fig. 13).  Layers the eligibility
   predicate of :mod:`repro.sim.fastpath` proves exact are replayed from
@@ -14,13 +21,15 @@ Two timing paths produce the figures:
   ``functional=True`` it also moves real bytes, which the security tests
   rely on.
 
-A consistency test asserts the two paths agree under the Guarder.
+Under a stall-free controller (Guarder / NoProtection) the two paths
+charge the same cycles; ``python -m repro validate`` and the block-shape
+property tests require equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.common.types import CheckStats, World
@@ -50,10 +59,33 @@ class LayerResult:
     compute_cycles: float
     macs: int
     flush_cycles: float = 0.0
+    #: Per-block cycles in schedule order as ``(cycles, count)`` runs
+    #: (analytic path only; empty on the detailed path).
+    block_runs: Tuple[Tuple[float, int], ...] = ()
 
     @property
     def dma_bytes(self) -> float:
         return self.load_bytes + self.store_bytes
+
+    @property
+    def block_cycles(self) -> List[float]:
+        """Cycles of each output block, in schedule order."""
+        out: List[float] = []
+        for cycles, count in self.block_runs:
+            out += [cycles] * count
+        return out
+
+
+def _add_to_block(runs: list, at: int, extra: float) -> None:
+    """Add *extra* cycles to the first (``at=0``) or last (``at=-1``)
+    block of the ``(cycles, count)`` run list *runs*, in place."""
+    i = at % len(runs)
+    cycles, count = runs[i]
+    bumped = [(cycles + extra, 1)]
+    if count > 1:
+        rest = [(cycles, count - 1)]
+        bumped = bumped + rest if at == 0 else rest + bumped
+    runs[i:i + 1] = bumped
 
 
 @dataclass
@@ -202,69 +234,81 @@ class NPUCore:
         scrub, ctx, refetch = self._boundary_parts(layer, share)
         return scrub + ctx + refetch
 
-    def _layer_cycles_analytic(
-        self,
-        layer: LayerSchedule,
-        share: float,
-        flush: Optional[str],
-        spad_mode_overhead: float = 0.0,
+    def _layer_fold(
+        self, layer: LayerSchedule, share: float, tile: bool
     ) -> tuple:
-        """Return (total_cycles, flush_cycles, info) for one layer.
+        """Return (cycles, flush_cycles, block_runs, info) for one layer.
 
-        *info* carries the profiler's side-channel observations: total DMA
-        busy cycles, descriptor-issue cycles, total compute cycles and the
-        number of flush boundaries charged — everything the attribution
-        and overlap-efficiency reports need without re-deriving the
-        pipeline math.
+        The detailed path's own segment rule, folded over the layer's
+        exact block shapes: every k-step pays ``max(load, compute,
+        store)`` with ``ISSUE_CYCLES`` charged once per transfer, and a
+        segment adds its first load and its last store.  The whole layer
+        is one segment, or under ``tile`` each block is its own segment
+        followed by a flush boundary.
+
+        *block_runs* are the per-block cycles in schedule order as
+        ``(cycles, count)`` runs summing to *cycles*: without a tile
+        flush the first block carries the layer's first load and the
+        last block its last store.  *info* carries the profiler's
+        observations (DMA busy, descriptor-issue and compute cycles, and
+        the number of flush boundaries charged).
         """
-        iters = layer.n_iterations
-        blocks = max(layer.n_blocks, 1)
+        if not layer.block_shapes:
+            raise ConfigError(
+                f"layer {layer.name!r} was compiled without block shapes"
+            )
+        transfer = self.dram.transfer_cycles
         issue = DMAEngine.ISSUE_CYCLES
-        load = (
-            (layer.n_load_requests / iters) * issue
-            + self.dram.transfer_cycles(layer.load_bytes_per_iter, share)
-        )
-        # Output blocks drain once per accumulation (end_of_block), not per
-        # iteration - mirror the detailed path's block-granular stores.
-        store_block = (
-            (layer.n_store_requests / blocks) * issue
-            + self.dram.transfer_cycles(layer.store_bytes / blocks, share)
-        )
-        compute = layer.compute_cycles_per_iter + spad_mode_overhead
-        slot = max(load, compute)
-        slot_store = max(load, compute, store_block)
+        # Per shape: (sum of step maxima, first load, last store).
+        per_shape = []
+        dma_busy = compute_busy = 0.0
+        transfers = 0
+        for shape_count, steps in layer.block_shapes:
+            body = 0.0
+            first = None
+            for count, loads, stores, compute in steps:
+                load = 0.0
+                for size in loads:
+                    load += issue + transfer(size, share)
+                store = 0.0
+                for size in stores:
+                    store += issue + transfer(size, share)
+                if first is None:
+                    first = load
+                body += count * max(load, compute, store)
+                n_steps = shape_count * count
+                dma_busy += n_steps * (load + store)
+                compute_busy += n_steps * compute
+                transfers += n_steps * (len(loads) + len(stores))
+            per_shape.append((body, first, store))
         info = {
-            "dma_busy": iters * load + blocks * store_block,
-            "issue_cycles": (
-                (layer.n_load_requests + layer.n_store_requests) * issue
-            ),
-            "compute_busy": iters * compute,
+            "dma_busy": dma_busy,
+            "issue_cycles": transfers * issue,
+            "compute_busy": compute_busy,
             "boundaries": 0,
         }
-
-        if flush == "tile":
-            # Each output block is its own pipeline segment followed by a
-            # full context switch.
-            iters_per_quantum = iters / blocks
-            segment = (
-                max(iters_per_quantum - 1, 0) * slot
-                + slot_store
-                + load
-                + store_block
+        order = layer.block_runs
+        if tile:
+            boundary = self._boundary_cost(layer, share)
+            per_block = [body + first + last + boundary
+                         for body, first, last in per_shape]
+            cycles = sum(
+                shape.count * per_block[i]
+                for i, shape in enumerate(layer.block_shapes)
             )
-            boundary = self._boundary_cost(layer, share)
-            total = blocks * (segment + boundary)
-            info["boundaries"] = blocks
-            return total, blocks * boundary, info
-        # One pipeline segment for the whole layer.
-        total = (
-            (iters - blocks) * slot + blocks * slot_store + load + store_block
+            info["boundaries"] = layer.n_blocks
+            runs = [(per_block[i], count) for i, count in order]
+            return cycles, layer.n_blocks * boundary, runs, info
+        seg = sum(
+            shape.count * per_shape[i][0]
+            for i, shape in enumerate(layer.block_shapes)
         )
-        if flush == "layer":
-            boundary = self._boundary_cost(layer, share)
-            info["boundaries"] = 1
-            return total + boundary, boundary, info
-        return total, 0.0, info
+        first_load = per_shape[order[0][0]][1]
+        last_store = per_shape[order[-1][0]][2]
+        runs = [(per_shape[i][0], count) for i, count in order]
+        _add_to_block(runs, 0, first_load)
+        _add_to_block(runs, -1, last_store)
+        return seg + first_load + last_store, 0.0, runs, info
 
     def run_analytic(
         self,
@@ -272,7 +316,8 @@ class NPUCore:
         share: float = 1.0,
         flush: Optional[str] = None,
     ) -> RunResult:
-        """Fast timing over the layer summaries (no controller involved).
+        """Fast timing over the layers' block shapes (no controller
+        involved; equal to :meth:`run_detailed` on stall-free ones).
 
         ``flush`` ∈ {None, "tile", "layer", "layer5"} charges the flush
         baseline's context-switch costs at the corresponding boundaries.
@@ -286,15 +331,16 @@ class NPUCore:
         total = 0.0
         flush_total = 0.0
         for i, layer in enumerate(program.layers):
-            per_layer_flush = flush if flush != "layer5" else None
-            cycles, fcycles, info = self._layer_cycles_analytic(
-                layer, share, per_layer_flush
+            cycles, fcycles, runs, info = self._layer_fold(
+                layer, share, flush == "tile"
             )
-            if flush == "layer5" and (i + 1) % 5 == 0:
+            if flush == "layer" or (flush == "layer5" and (i + 1) % 5 == 0):
+                # The layer-level boundary closes the layer's last block.
                 boundary = self._boundary_cost(layer, share)
                 cycles += boundary
                 fcycles += boundary
                 info["boundaries"] += 1
+                _add_to_block(runs, -1, boundary)
             if profiler.enabled:
                 scrub, ctx, refetch = self._boundary_parts(layer, share)
                 n_bound = info["boundaries"]
@@ -327,6 +373,7 @@ class NPUCore:
                     compute_cycles=layer.compute_cycles,
                     macs=layer.macs,
                     flush_cycles=fcycles,
+                    block_runs=tuple(runs),
                 )
             )
             total += cycles

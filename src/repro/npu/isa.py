@@ -3,16 +3,20 @@
 A compiled task (:class:`NPUProgram`) is a list of :class:`LayerSchedule`
 objects.  Each layer carries
 
-* an **analytic summary** (iteration counts, per-iteration stage times,
-  total traffic) that the fast timing path folds through the pipeline
-  model, and
+* a **summary** (iteration/block counts, total traffic, compute, MACs)
+  for reports and the code measurement,
+* its **block shapes**: a run-length description of the layer's
+  distinct output blocks (:class:`BlockShape`), each with its k-steps'
+  exact transfer sizes and compute cycles, plus the schedule order of
+  those shapes (``block_runs``) — what the analytic timing path folds,
+  and
 * an optional **iteration factory** producing concrete
   :class:`TileIteration` objects with real :class:`~repro.common.types.
   DmaRequest` descriptors — the detailed path used for IOTLB simulation
   (Fig. 13) and for functional execution in the security tests.
 
-Both paths describe the same schedule; a consistency test asserts they
-agree under the Guarder (where no stalls perturb the analytic math).
+The block shapes are the grouping of the factory's iterations by block;
+a property test checks the two descriptions field by field.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.types import AddressRange, DmaRequest, World
 from repro.errors import ConfigError
@@ -68,9 +72,29 @@ class TileIteration:
         return sum(t.bytes for t in self.stores)
 
 
+class StepRun(NamedTuple):
+    """``count`` identical consecutive k-steps of one output block."""
+
+    count: int
+    #: Load-transfer sizes (bytes), in issue order.
+    loads: Tuple[int, ...]
+    #: Store-transfer sizes (bytes), in issue order.
+    stores: Tuple[int, ...]
+    compute: float
+
+
+class BlockShape(NamedTuple):
+    """One distinct output-block shape: ``count`` blocks of the layer
+    run exactly these k-steps, in this order."""
+
+    count: int
+    steps: Tuple[StepRun, ...]
+
+
 @dataclass
 class LayerSchedule:
-    """One compiled layer: analytic summary + optional detailed iterations."""
+    """One compiled layer: summary, block shapes and optional detailed
+    iterations."""
 
     name: str
     index: int
@@ -92,9 +116,14 @@ class LayerSchedule:
     #: Bytes of weights resident in the scratchpad that a mid-layer flush
     #: forces the schedule to re-fetch once per preemption boundary.
     resident_bytes: float = 0.0
-    #: Total number of load / store DMA requests (for issue-overhead math).
+    #: Total number of load / store ``mvin``/``mvout`` descriptors.
     n_load_requests: int = 0
     n_store_requests: int = 0
+    #: Distinct output-block shapes (see :class:`BlockShape`).
+    block_shapes: Tuple[BlockShape, ...] = ()
+    #: Schedule order of the blocks as ``(shape index, count)`` runs;
+    #: the first run's shape opens the layer, the last run's closes it.
+    block_runs: Tuple[Tuple[int, int], ...] = ()
     #: Iteration factory for the detailed/functional path.
     iteration_factory: Optional[Callable[[], Iterator[TileIteration]]] = None
     #: GEMM lowering metadata (dims, blocking, buffer bases) for the
@@ -106,19 +135,6 @@ class LayerSchedule:
             raise ConfigError(f"layer {self.name!r} has no iterations")
         if self.n_blocks < 1:
             raise ConfigError(f"layer {self.name!r} has no blocks")
-
-    # Per-iteration averages used by the analytic timing path.
-    @property
-    def load_bytes_per_iter(self) -> float:
-        return self.load_bytes / self.n_iterations
-
-    @property
-    def store_bytes_per_iter(self) -> float:
-        return self.store_bytes / self.n_iterations
-
-    @property
-    def compute_cycles_per_iter(self) -> float:
-        return self.compute_cycles / self.n_iterations
 
     def iterations(self) -> Iterator[TileIteration]:
         if self.iteration_factory is None:

@@ -477,8 +477,10 @@ class ClusterSimulator:
                 f"unknown balance policy {balance!r}; choose from "
                 f"{', '.join(CLUSTER_POLICIES)}"
             )
-        if detail_ms <= 0:
-            raise ConfigError(f"detail_ms must be positive, got {detail_ms}")
+        if not (math.isfinite(detail_ms) and detail_ms > 0):
+            raise ConfigError(
+                f"detail_ms must be finite and positive, got {detail_ms}"
+            )
         self.scenario = scenario
         self.mechanism = mechanism
         self.policy = policy
@@ -493,9 +495,13 @@ class ClusterSimulator:
         self.rps = (
             scenario.rps * self.workers if rps is None else float(rps)
         )
-        if self.rps < 0:
-            raise ConfigError(f"rps must be non-negative, got {self.rps}")
+        if not (math.isfinite(self.rps) and self.rps >= 0):
+            raise ConfigError(
+                f"rps must be finite and non-negative, got {self.rps}"
+            )
         if requests is not None:
+            if not math.isfinite(requests):
+                raise ConfigError(f"requests must be finite, got {requests}")
             requests = int(requests)
             if requests < 0:
                 raise ConfigError(
@@ -512,9 +518,10 @@ class ClusterSimulator:
                 scenario.duration_ms if duration_ms is None
                 else float(duration_ms)
             )
-            if self.duration_ms <= 0:
+            if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
                 raise ConfigError(
-                    f"duration_ms must be positive, got {self.duration_ms}"
+                    f"duration_ms must be finite and positive, "
+                    f"got {self.duration_ms}"
                 )
             self.requests_target = None
         self.detail_ms = min(self.duration_ms, float(detail_ms))

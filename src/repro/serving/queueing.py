@@ -34,6 +34,7 @@ world switch is ledgered in the audit log.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -305,14 +306,17 @@ class ServeSimulator:
         # default".  A falsy check here would silently fall back to the
         # scenario rate and report a run the user never asked for.
         self.rps = scenario.rps if rps is None else float(rps)
-        if self.rps < 0:
-            raise ConfigError(f"rps must be non-negative, got {self.rps}")
+        if not (math.isfinite(self.rps) and self.rps >= 0):
+            raise ConfigError(
+                f"rps must be finite and non-negative, got {self.rps}"
+            )
         self.duration_ms = (
             scenario.duration_ms if duration_ms is None else float(duration_ms)
         )
-        if self.duration_ms <= 0:
+        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
             raise ConfigError(
-                f"duration_ms must be positive, got {self.duration_ms}"
+                f"duration_ms must be finite and positive, "
+                f"got {self.duration_ms}"
             )
         self.seed = int(seed)
         self.models = {key: build_model(key) for key in scenario.model_keys()}
@@ -327,8 +331,12 @@ class ServeSimulator:
             pair_norm = self.oracle.pair_norm
         self.policy = Policy(policy, pair_norm=pair_norm)
         self._flow_ids: Dict[int, Optional[int]] = {}
-        if window_ms is not None and window_ms <= 0:
-            raise ConfigError(f"window_ms must be positive, got {window_ms}")
+        if window_ms is not None and not (
+            math.isfinite(window_ms) and window_ms > 0
+        ):
+            raise ConfigError(
+                f"window_ms must be finite and positive, got {window_ms}"
+            )
         self.window_ms = float(window_ms) if window_ms else None
         self.windows: Optional[ServeWindows] = None
         tel = telemetry.metrics.group("serving")

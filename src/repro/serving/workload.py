@@ -17,6 +17,7 @@ are preserved.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -290,16 +291,19 @@ def generate(
     """Expand *scenario* into a deterministic arrival-sorted request list.
 
     ``rps``/``duration_ms`` default (when ``None``) to the scenario's
-    values.  ``rps=0`` is a valid empty stream; negative rates and
-    non-positive durations are configuration errors.  Arrival instants
-    and SLA budgets are in cycles at *freq_ghz*.
+    values.  ``rps=0`` is a valid empty stream; negative rates,
+    non-positive durations and non-finite values of either are
+    configuration errors.  Arrival instants and SLA budgets are in
+    cycles at *freq_ghz*.
     """
     rps = scenario.rps if rps is None else rps
     duration_ms = scenario.duration_ms if duration_ms is None else duration_ms
-    if rps < 0:
-        raise ConfigError(f"rps must be non-negative, got {rps}")
-    if duration_ms <= 0:
-        raise ConfigError(f"duration_ms must be positive, got {duration_ms}")
+    if not (math.isfinite(rps) and rps >= 0):
+        raise ConfigError(f"rps must be finite and non-negative, got {rps}")
+    if not (math.isfinite(duration_ms) and duration_ms > 0):
+        raise ConfigError(
+            f"duration_ms must be finite and positive, got {duration_ms}"
+        )
     if rps == 0:
         return []
     cycles_per_ms = freq_ghz * 1e6

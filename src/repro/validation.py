@@ -1,9 +1,10 @@
 """Cross-validation of the simulator's two timing paths.
 
-The analytic path (closed-form layer aggregates through the pipeline
-model) and the detailed path (every tile iteration, every DMA descriptor
-through the access controller) must describe the same schedule.  This
-module runs both on every zoo workload and reports the discrepancy — the
+The analytic path (the segment rule folded over the compiler's exact
+block shapes) and the detailed path (every tile iteration, every DMA
+descriptor through the access controller) describe the same schedule
+and, on a stall-free controller, charge the same cycles.  This module
+runs both on every zoo workload and requires them to be equal — the
 repository's internal consistency check, runnable as ``python -m repro
 validate``.
 """
@@ -20,9 +21,6 @@ from repro.npu.config import NPUConfig
 from repro.npu.core import NPUCore
 from repro.workloads import zoo
 
-#: Acceptable analytic/detailed disagreement (edge-block averaging).
-DEFAULT_TOLERANCE = 0.08
-
 
 @dataclass
 class ValidationRow:
@@ -31,7 +29,6 @@ class ValidationRow:
     workload: str
     analytic_cycles: float
     detailed_cycles: float
-    tolerance: float
 
     @property
     def ratio(self) -> float:
@@ -41,7 +38,7 @@ class ValidationRow:
 
     @property
     def ok(self) -> bool:
-        return abs(self.ratio - 1.0) <= self.tolerance
+        return self.analytic_cycles == self.detailed_cycles
 
     def __str__(self) -> str:
         mark = "ok " if self.ok else "FAIL"
@@ -53,9 +50,7 @@ class ValidationRow:
 
 
 def validate_timing_paths(
-    profile: str = "tiny",
-    tolerance: float = DEFAULT_TOLERANCE,
-    config: Optional[NPUConfig] = None,
+    profile: str = "tiny", config: Optional[NPUConfig] = None
 ) -> List[ValidationRow]:
     """Compare the two timing paths on every zoo workload."""
     config = config or NPUConfig.paper_default()
@@ -72,7 +67,6 @@ def validate_timing_paths(
                 workload=model.name,
                 analytic_cycles=analytic.cycles,
                 detailed_cycles=detailed.cycles,
-                tolerance=tolerance,
             )
         )
     return rows
@@ -81,8 +75,7 @@ def validate_timing_paths(
 def validate_all(profile: str = "tiny") -> bool:
     """Print the validation report; return True when every row passes."""
     rows = validate_timing_paths(profile)
-    print(f"timing-path consistency ({profile} profile, "
-          f"tolerance {DEFAULT_TOLERANCE:.0%}):")
+    print(f"timing-path consistency ({profile} profile, exact):")
     for row in rows:
         print(f"  {row}")
     passed = all(row.ok for row in rows)

@@ -7,6 +7,10 @@ The SLO-breach leg of exit 1 is covered by
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro.cli as cli
@@ -33,6 +37,35 @@ def test_config_error_exits_two(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "default", "--duration", "nan"],
+    ["serve", "default", "--duration", "inf"],
+    ["serve", "default", "--rps", "nan", "--duration", "10"],
+    ["serve", "default", "--rps", "inf", "--duration", "10"],
+    ["serve", "default", "--workers", "2", "--requests", "nan"],
+    ["serve", "default", "--workers", "2", "--requests", "inf"],
+    ["serve", "default", "--workers", "2", "--detail", "nan"],
+    ["watch", "default", "--window", "nan"],
+    ["disasm", "resnet", "--limit", "-1"],
+], ids=" ".join)
+def test_non_finite_or_negative_input_exits_two(argv, tmp_path):
+    """Non-finite rates, horizons and windows used to hang the arrival
+    generator or escape as tracebacks; each is bad input: one line on
+    stderr, exit 2, promptly."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=str(tmp_path), env=env,
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.mark.parametrize("error", [

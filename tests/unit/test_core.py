@@ -78,13 +78,13 @@ class TestDetailedPath:
         self, config, dram, compiler
     ):
         """The two paths describe the same schedule; under a stall-free
-        controller they must agree closely (edge-block averaging only)."""
+        controller they charge exactly the same cycles."""
         for model in (synthetic_mlp(), synthetic_cnn(), zoo.yololite(56)):
             program = compiler.compile(model)
             core = NPUCore(config, NoProtection(), dram)
             analytic = core.run_analytic(program)
             detailed = core.run_detailed(program)
-            assert detailed.cycles == pytest.approx(analytic.cycles, rel=0.08)
+            assert detailed.cycles == analytic.cycles
             assert detailed.macs == analytic.macs
 
     def test_detailed_flush_matches_analytic_flush(self, config, dram, compiler):
@@ -93,7 +93,10 @@ class TestDetailedPath:
         for flush in ("tile", "layer", "layer5"):
             analytic = core.run_analytic(program, flush=flush)
             detailed = core.run_detailed(program, flush=flush)
-            assert detailed.cycles == pytest.approx(analytic.cycles, rel=0.08)
+            assert detailed.cycles == analytic.cycles
+            assert detailed.flush_overhead_cycles == (
+                analytic.flush_overhead_cycles
+            )
 
     def test_detailed_reports_controller_stats(self, config, dram, mlp_program):
         core = NPUCore(config, NoProtection(), dram)
