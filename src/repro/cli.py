@@ -326,13 +326,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         timeline = scope.tracer.to_timeline() if args.timeline else None
         dropped = scope.tracer.dropped
 
-    with open(args.out, "w") as fh:
-        fh.write(payload)
+    _write_text(args.out, payload)
     metrics_path = os.path.join(
         os.path.dirname(args.out) or ".", "metrics.json"
     )
-    with open(metrics_path, "w") as fh:
-        json.dump(snapshot, fh, indent=2, default=str, sort_keys=True)
+    _write_text(metrics_path,
+                json.dumps(snapshot, indent=2, default=str, sort_keys=True))
 
     if timeline:
         print(timeline)
@@ -408,8 +407,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         print(f"warning: {dropped} flows dropped (tracker cap reached); "
               f"the report is incomplete", file=sys.stderr)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace_payload)
+        _write_text(args.trace, trace_payload)
         print(f"flow trace written to {args.trace} "
               f"(open with https://ui.perfetto.dev)", file=sys.stderr)
     payload = _format_payload(args.format, {
@@ -528,8 +526,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scope.tracer.to_chrome_trace(indent=2) if args.trace else None
         )
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace_payload)
+        _write_text(args.trace, trace_payload)
         print(f"flow trace written to {args.trace} "
               f"(open with https://ui.perfetto.dev)", file=sys.stderr)
     payload = _format_payload(args.format, {
@@ -840,10 +837,19 @@ def _format_payload(fmt: str, renderers) -> Optional[str]:
     return renderer()
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write *text* to *path*; an unwritable path is bad input (exit 2)."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot write {path}: {reason}") from None
+
+
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
+        _write_text(out, payload if payload.endswith("\n") else payload + "\n")
         print(f"written to {out}")
     else:
         print(payload, end="" if payload.endswith("\n") else "\n")
@@ -1142,8 +1148,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w") as fh:
-        fh.write(html_payload)
+    _write_text(args.out, html_payload)
     print(f"dashboard written to {args.out}")
     return 0
 

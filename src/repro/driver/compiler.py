@@ -48,8 +48,8 @@ TASK_VA_BASE = 0x1000_0000
 #: Blocking memo: ``_choose_blocking`` is a pure function of
 #: ``(spec, budget, acc_budget, config)`` (all frozen dataclasses), and
 #: experiments recompile the same kernels dozens of times.
-_BLOCKING_MEMO: Dict[tuple, "Blocking"] = {}
-_BLOCKING_MEMO_MAX = 4096
+_BLOCKINGS: Dict[tuple, "Blocking"] = {}
+_BLOCKINGS_MAX = 4096
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -315,8 +315,8 @@ class TilingCompiler:
     def _choose_blocking(
         self, spec: GemmSpec, budget: int, acc_budget: int
     ) -> Blocking:
-        memo_key = (spec, budget, acc_budget, self.config)
-        cached = _BLOCKING_MEMO.get(memo_key)
+        cache_key = (spec, budget, acc_budget, self.config)
+        cached = _BLOCKINGS.get(cache_key)
         if cached is not None:
             return cached
         d = self.config.array_dim
@@ -366,9 +366,9 @@ class TilingCompiler:
             )
         else:
             chosen = best[2]
-        if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
-            _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
-        _BLOCKING_MEMO[memo_key] = chosen
+        if len(_BLOCKINGS) >= _BLOCKINGS_MAX:
+            _BLOCKINGS.pop(next(iter(_BLOCKINGS)))
+        _BLOCKINGS[cache_key] = chosen
         return chosen
 
     def _choose_pack(self, spec: GemmSpec, blocking: Blocking) -> int:

@@ -14,16 +14,15 @@ it:
   its total (the flush baseline's scheduling quanta).  Fast enough to
   sweep budgets and granularities (Figs. 1, 14, 15, 17, serving).
 * :meth:`NPUCore.run_detailed` — the actual page-touch sequence drives
-  IOTLB hits/misses and page walks (Fig. 13).  Layers the eligibility
-  predicate of :mod:`repro.sim.fastpath` proves exact are replayed from
-  the compiled schedule; every other layer walks each tile iteration and
-  pushes each DMA request through the access controller.  With
-  ``functional=True`` it also moves real bytes, which the security tests
-  rely on.
+  IOTLB hits/misses and page walks (Fig. 13).  :mod:`repro.sim.fastpath`
+  prices provably exact stall-free layers with ``run_analytic``'s fold
+  and replays provably clean paging layers; every other layer walks each
+  tile iteration through the access controller.  With ``functional=True``
+  it also moves real bytes, which the security tests rely on.
 
 Under a stall-free controller (Guarder / NoProtection) the two paths
-charge the same cycles; ``python -m repro validate`` and the block-shape
-property tests require equality.
+charge the same cycles; ``python -m repro validate`` (against the
+reference event walk) and the block-shape property tests require it.
 """
 
 from __future__ import annotations
@@ -251,7 +250,8 @@ class NPUCore:
         flush the first block carries the layer's first load and the
         last block its last store.  *info* carries the profiler's
         observations (DMA busy, descriptor-issue and compute cycles, and
-        the number of flush boundaries charged).
+        the number of flush boundaries charged) and ``streams``, the
+        layer's ``{stream cycles: transfer count}`` multiset.
         """
         if not layer.block_shapes:
             raise ConfigError(
@@ -262,29 +262,32 @@ class NPUCore:
         # Per shape: (sum of step maxima, first load, last store).
         per_shape = []
         dma_busy = compute_busy = 0.0
-        transfers = 0
+        streams: dict = {}
         for shape_count, steps in layer.block_shapes:
             body = 0.0
             first = None
             for count, loads, stores, compute in steps:
-                load = 0.0
+                n_steps = shape_count * count
+                load = store = 0.0
                 for size in loads:
-                    load += issue + transfer(size, share)
-                store = 0.0
+                    stream = transfer(size, share)
+                    load += issue + stream
+                    streams[stream] = streams.get(stream, 0) + n_steps
                 for size in stores:
-                    store += issue + transfer(size, share)
+                    stream = transfer(size, share)
+                    store += issue + stream
+                    streams[stream] = streams.get(stream, 0) + n_steps
                 if first is None:
                     first = load
                 body += count * max(load, compute, store)
-                n_steps = shape_count * count
                 dma_busy += n_steps * (load + store)
                 compute_busy += n_steps * compute
-                transfers += n_steps * (len(loads) + len(stores))
             per_shape.append((body, first, store))
         info = {
             "dma_busy": dma_busy,
-            "issue_cycles": transfers * issue,
+            "issue_cycles": sum(streams.values()) * issue,
             "compute_busy": compute_busy,
+            "streams": streams,
             "boundaries": 0,
         }
         order = layer.block_runs
@@ -430,7 +433,7 @@ class NPUCore:
         reset_stats: bool = True,
     ) -> RunResult:
         """Time every tile iteration through the DMA engine + controller
-        (replayed by :mod:`repro.sim.fastpath` where provably exact)."""
+        (computed by :mod:`repro.sim.fastpath` where provably exact)."""
         if flush is not None and flush not in FLUSH_GRANULARITIES:
             raise ConfigError(f"unknown flush granularity {flush!r}")
         if reset_stats:
@@ -441,7 +444,7 @@ class NPUCore:
         profiling = profiler.enabled
         if profiling:
             profiler.begin_run(program.task_name, "detailed")
-        fast_run = _fastpath.begin_run(self, program, share, flush)
+        fast_run = _fastpath.begin_run(self, share, flush)
         layers: List[LayerResult] = []
         total = 0.0
         flush_total = 0.0
@@ -467,9 +470,9 @@ class NPUCore:
                 n_bound = 0
                 fast_res = fast_run.layer(layer) if fast_run is not None else None
                 if fast_res is not None:
-                    # Analytic replay: segment state stays at init values,
-                    # so the post-loop/flush blocks below are no-ops
-                    # (fast runs never carry a flush granularity).
+                    # Computed by the fast path: segment state stays at
+                    # init values, so the post-loop/flush blocks below are
+                    # no-ops (fast runs never carry a flush granularity).
                     layer_cycles, comp_sum = fast_res
                 else:
                     for it in layer.iterations():

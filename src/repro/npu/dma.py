@@ -130,7 +130,9 @@ class DMAEngine:
         tel.bind("issue_cycles", self.stats, "issue_cycles")
         tel.bind("stream_cycles", self.stats, "stream_cycles")
         tel.bind("crypto_cycles", self.stats, "crypto_cycles")
-        self._h_transfer = tel.histogram("transfer_cycles")
+        #: Exact multiset of transfer latencies: the fast path adds a
+        #: whole layer's counts at once and must agree with this walk.
+        self._h_transfer = tel.counted_histogram("transfer_cycles")
 
     def _target_spad(self, transfer: SpadTransfer) -> Scratchpad:
         spad = self.accumulator if transfer.to_accumulator else self.scratchpad
@@ -213,7 +215,7 @@ class DMAEngine:
                 track=self._track,
             )
         self.cursor += cycles
-        self._h_transfer.observe(cycles, cycle=self.cursor)
+        self._h_transfer.observe(cycles)
 
         if self.trace is not None:
             self.trace.append(

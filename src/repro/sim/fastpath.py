@@ -1,56 +1,45 @@
-"""Replay engine behind :meth:`repro.npu.core.NPUCore.run_detailed`.
+"""Fast path behind :meth:`repro.npu.core.NPUCore.run_detailed`.
 
-The event simulator (:meth:`repro.npu.core.NPUCore.run_detailed`) walks
-every tile iteration and pushes every DMA descriptor through the access
-controller.  For the vast majority of layers nothing on that walk can
-perturb timing: the controller is stall-free (Guarder / NoProtection) or
-its page walks are a pure function of the page-touch sequence and the
-current IOTLB state, no flush boundary interrupts the pipeline, no world
-switch is in flight, and no attacker, tracer or functional data movement
-observes individual packets.  This module computes those layers directly
-from the tiling compiler's schedule — once — and *replays* every mutated
-accumulator in the exact operation order of the event path, so the result
-is bit-identical by construction, not merely close.
+The event walk pushes every DMA descriptor through the access
+controller.  For most layers nothing on it can perturb timing: no flush,
+world switch, attacker, tracer or functional copy, and a controller that
+is stall-free (Guarder / NoProtection) or whose page walks follow from
+the page-touch sequence and IOTLB state alone.  Those layers are
+computed from the compiled schedule, bit-identical to the walk by
+construction:
 
-Design rules that make the equivalence hold exactly:
+* **Stall-free layers: the segment fold.**
+  :meth:`~repro.npu.core.NPUCore._layer_fold` (the analytic rule over
+  the block shapes) prices the layer; the DMA cursor, stream/issue
+  totals, systolic busy time, audit clock and transfer histogram advance
+  by its totals.
+* **The exactness gate.**  With D the largest power-of-two denominator
+  (``float.as_integer_ratio``) among the operands — ``ISSUE_CYCLES``,
+  each distinct stream time, each compute, the accumulators' starting
+  values — every partial sum is an exact multiple of ``1/D`` while the
+  accumulators stay below ``2**53 / D``, so the fold's ``count * max``
+  products and reordered sums equal the walk's sequential ones.  A layer
+  failing the gate (most at bandwidth share 0.3) takes the event walk.
+* **Paging layers: sequential replay.**  :func:`_replay_paging` replays
+  the IOTLB and every float accumulator in the walk's order.
+* **Conservative eligibility.**  Only what the predicates below *prove*
+  clean runs here (pages mapped with sufficient permissions, transfers
+  covered by an allowing Guarder register pair, no flush, world switch,
+  attacker or per-transfer telemetry); anything else takes the event
+  walk and bumps ``sim.fastpath.fallbacks`` plus a per-reason counter.
 
-* **Sequential replay, not closed-form sums.**  Float accumulators
-  (``dma.cursor``, ``stats.stream_cycles``, IOTLB walk stalls, systolic
-  busy cycles, the per-layer segment pipeline) are replayed as local
-  variables updated with the same operand values in the same order as
-  the event path, then written back at layer end.  Only integer-valued
-  quantities (request/packet/byte counters) are batched, which is exact
-  below 2**53.
-* **Conservative eligibility.**  A layer runs on the fast path only when
-  the predicate below *proves* the event path would take no data-dependent
-  branch the replay does not model: every page mapped with sufficient
-  permissions (IOMMU/sMMU), every transfer covered by an allowing register
-  pair (Guarder), no flush granularity, no world switch in flight, no
-  attacker attached, telemetry collectors that observe per-transfer events
-  disabled.  Anything unprovable routes to the event simulator and bumps
-  the ``sim.fastpath.fallbacks`` counter (plus a per-reason counter).
-* **Memoisation.**  Per-(layer, NPUConfig, protection, share) timing
-  bundles for stall-free controllers are memoised across runs, keyed by a
-  digest that includes the compiler-source digest — so one BERT layer is
-  costed once instead of once per experiment, and any change to the
-  simulator source, the NPU configuration or the protection mechanism
-  invalidates the memo.  Paging controllers are never memoised across
-  runs (their cost depends on mutable IOTLB state); their schedule fold
-  is still cached on the layer object itself.
-
-Every ``run_detailed`` call goes through :func:`begin_run`; the event
-walk remains the fallback for whatever the predicate cannot prove, and
-:func:`reference` forces it for a ``with`` block so tests and
-``benchmarks/bench_fastpath.py`` can compare the two.
+Integer counters are batched (exact below 2**53) and the DMA transfer
+histogram is an order-free ``{value: count}`` multiset.  The schedule
+fold both engines read is cached on the layer object.  :func:`reference`
+forces the event walk for a ``with`` block (tests, benchmarks).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
+import math
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import telemetry
@@ -60,7 +49,6 @@ from repro.mmu.base import NoProtection
 from repro.mmu.guarder import NPUGuarder
 from repro.mmu.iommu import IOMMU
 from repro.mmu.smmu import TrustZoneSMMU
-from repro.telemetry.metrics import NULL_HISTOGRAM
 
 #: Metric group holding the fast-path counters
 #: (``sim.fastpath.fast_layers``, ``sim.fastpath.fallbacks``, ...).
@@ -68,13 +56,7 @@ GROUP_PREFIX = "sim.fastpath"
 
 _REFERENCE = False
 
-#: Compiler/simulator source digest baked into every memo key (lazily the
-#: same digest the experiment result cache uses).  Tests monkeypatch this
-#: to prove the memo invalidates on source changes.
-_SOURCE_DIGEST: Optional[str] = None
-
 _FOLD_ATTR = "_fastpath_fold"
-_SIG_ATTR = "_fastpath_sig"
 
 _READ = Permission.READ
 _WRITE = Permission.WRITE
@@ -101,16 +83,6 @@ def reference() -> Iterator[None]:
         yield
     finally:
         _REFERENCE = saved
-
-
-def source_digest() -> str:
-    """Source digest folded into memo keys (see module docstring)."""
-    global _SOURCE_DIGEST
-    if _SOURCE_DIGEST is None:
-        from repro.experiments.cache import source_digest as _sd
-
-        _SOURCE_DIGEST = _sd()
-    return _SOURCE_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +126,7 @@ class _Fold:
     __slots__ = (
         "iters", "subreq", "packets", "bytes_in", "bytes_out", "macs",
         "page_need", "worlds", "hulls", "distinct", "pte_cache",
+        "last_size",
     )
 
     def __init__(self) -> None:
@@ -177,6 +150,8 @@ class _Fold:
         #: pte_map): proven-safe PTE bundles, invalidated by the page
         #: table's mutation counter.  The table reference pins its id.
         self.pte_cache: Dict[tuple, tuple] = {}
+        #: Size of the layer's last transfer (None: no transfers).
+        self.last_size: Optional[int] = None
 
 
 def _fold_transfer(fold: _Fold, transfer, seqs: Dict[tuple, tuple]) -> tuple:
@@ -216,6 +191,7 @@ def _fold_transfer(fold: _Fold, transfer, seqs: Dict[tuple, tuple]) -> tuple:
             hull[0] = req.vaddr
         if end > hull[1]:
             hull[1] = end
+    fold.last_size = size
     return (size, pages)
 
 
@@ -235,100 +211,6 @@ def _fold_layer(layer) -> _Fold:
     except (AttributeError, TypeError):  # pragma: no cover - frozen layer
         pass
     return fold
-
-
-# ----------------------------------------------------------------------
-# Cross-run memo (stall-free controllers only)
-# ----------------------------------------------------------------------
-class _MemoEntry:
-    __slots__ = ("per_iter", "agg", "hulls", "distinct")
-
-    def __init__(self, per_iter, agg, hulls, distinct) -> None:
-        self.per_iter = per_iter
-        self.agg = agg
-        self.hulls = hulls
-        self.distinct = distinct
-
-
-_MEMO: "Dict[str, _MemoEntry]" = {}
-_MEMO_MAX = 1024
-
-
-def clear_memo() -> None:
-    """Drop every memoised layer timing bundle (test/bench helper)."""
-    _MEMO.clear()
-
-
-def _memo_put(key: str, entry: _MemoEntry) -> None:
-    if len(_MEMO) >= _MEMO_MAX:
-        _MEMO.pop(next(iter(_MEMO)))
-    _MEMO[key] = entry
-
-
-def _program_sig(program) -> str:
-    sig = getattr(program, _SIG_ATTR, None)
-    if sig is None:
-        chunks = json.dumps(
-            {name: (rng.base, rng.size)
-             for name, rng in sorted(program.chunks.items())}
-        )
-        sig = program.measurement().hex() + "|" + chunks
-        try:
-            setattr(program, _SIG_ATTR, sig)
-        except (AttributeError, TypeError):  # pragma: no cover
-            pass
-    return sig
-
-
-def memo_key(config, program, layer_index: int, share: float,
-             kind: str) -> str:
-    """Memo key for one (layer, NPUConfig, protection, share) bundle.
-
-    Covers every NPUConfig field, the protection kind, the program's
-    schedule measurement + virtual chunk layout, and the simulator source
-    digest — any change to one of them misses the memo.
-    """
-    cfg = json.dumps(dataclasses.asdict(config), sort_keys=True, default=str)
-    digest = hashlib.sha256()
-    for part in (cfg, source_digest(), _program_sig(program),
-                 str(layer_index), repr(share), kind):
-        digest.update(part.encode())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def _per_iter_streams(fold: _Fold, dram, share: float) -> list:
-    """Per-iteration (load_streams, store_streams, compute, macs).
-
-    Stream cycles are a pure function of (size, share); sizes repeat
-    across tiles, so they are computed once per distinct size.  Equal
-    rows (every full block of a layer) share one tuple: the memo keeps
-    these lists alive across runs.
-    """
-    cache: Dict[int, float] = {}
-    rows: Dict[tuple, tuple] = {}
-    transfer_cycles = dram.transfer_cycles
-    out = []
-    for loads, stores, compute, macs in fold.iters:
-        load_streams = []
-        for t in loads:
-            size = t[0]
-            s = cache.get(size)
-            if s is None:
-                s = transfer_cycles(size, share)
-                cache[size] = s
-            load_streams.append(s)
-        store_streams = []
-        for t in stores:
-            size = t[0]
-            s = cache.get(size)
-            if s is None:
-                s = transfer_cycles(size, share)
-                cache[size] = s
-            store_streams.append(s)
-        row = (tuple(load_streams), tuple(store_streams), compute, macs)
-        out.append(rows.setdefault(row, row))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -408,70 +290,65 @@ def _paging_provable(ctrl: IOMMU, fold: _Fold, eff_worlds) -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# Replay kernels
+# Layer engines
 # ----------------------------------------------------------------------
-def _replay_stall_free(core, per_iter, agg) -> Tuple[float, float]:
-    """Replay one layer under a stall-free controller.
+def _denominator_bits(value: float) -> int:
+    """log2 of *value*'s power-of-two denominator (0 for integers)."""
+    return float(value).as_integer_ratio()[1].bit_length() - 1
 
-    Mirrors, per transfer: ``cycles = ISSUE + 0.0 + stream`` and the DMA
-    engine's accumulator updates; per iteration: the segment pipeline of
-    ``run_detailed``.  All float state is carried in locals updated in
-    event order and written back once.
-    """
+
+def _exact_fold(core, layer, share: float) -> Optional[tuple]:
+    """``(cycles, info)`` of *layer*'s segment fold when the exactness
+    gate (see the module docstring) proves it equals the event walk's
+    sequential float sums; None otherwise."""
+    cycles, _flush, _runs, info = core._layer_fold(layer, share, False)
     dma = core.dma
     stats = dma.stats
-    observe = dma._h_transfer.observe
+    starts = (dma.cursor, stats.stream_cycles, stats.issue_cycles,
+              core.systolic.busy_cycles)
+    operands = chain(
+        (dma.ISSUE_CYCLES,), info["streams"], starts,
+        (step.compute for shape in layer.block_shapes for step in shape.steps),
+    )
+    try:
+        bits = max(_denominator_bits(value) for value in operands)
+    except (OverflowError, ValueError):  # an infinite or NaN operand
+        return None
+    dma_busy = info["dma_busy"]  # bounds the stream total too
+    finals = (abs(starts[0]) + dma_busy, abs(starts[1]) + dma_busy,
+              abs(starts[2]) + info["issue_cycles"],
+              abs(starts[3]) + info["compute_busy"], cycles)
+    if max(finals) >= math.ldexp(1.0, 53 - bits):
+        return None
+    return cycles, info
+
+
+def _advance_stall_free(core, fold: _Fold, info: dict, share: float) -> None:
+    """Advance the core's accumulators by one stall-free layer's fold
+    totals — what the event walk's per-transfer updates sum to."""
+    dma = core.dma
+    stats = dma.stats
     issue = dma.ISSUE_CYCLES
-    cursor = dma.cursor
-    stream_acc = stats.stream_cycles
-    issue_acc = stats.issue_cycles
+    streams = info["streams"]
+    dma.cursor += info["dma_busy"]
+    stats.stream_cycles += info["dma_busy"] - info["issue_cycles"]
+    stats.issue_cycles += info["issue_cycles"]
+    stats.requests += fold.subreq
+    stats.packets += fold.packets
+    stats.bytes_in += fold.bytes_in
+    stats.bytes_out += fold.bytes_out
+    # A stall-free transfer costs issue + 0.0 + stream on the walk.
+    dma._h_transfer.observe_counts(
+        (issue + stream, count) for stream, count in streams.items()
+    )
     systolic = core.systolic
-    busy = systolic.busy_cycles
-    seg_sum = 0.0
-    seg_first = None
-    seg_last = 0.0
-    comp_sum = 0.0
-    clock = None  # cursor value stamped on the audit ledger's clock
-    extra = 0.0  # stall-free: outcome.extra_cycles is always 0.0
-    for load_streams, store_streams, compute, macs in per_iter:
-        load = 0
-        for stream in load_streams:
-            cycles = issue + extra + stream
-            issue_acc += issue
-            stream_acc += stream
-            clock = cursor
-            cursor += cycles
-            observe(cycles, cycle=cursor)
-            load = load + cycles
-        store = 0
-        for stream in store_streams:
-            cycles = issue + extra + stream
-            issue_acc += issue
-            stream_acc += stream
-            clock = cursor
-            cursor += cycles
-            observe(cycles, cycle=cursor)
-            store = store + cycles
-        busy += compute
-        comp_sum += compute
-        if seg_first is None:
-            seg_first = load
-        seg_sum += max(load, compute, store)
-        seg_last = store
-    layer_cycles = seg_sum + (seg_first or 0.0) + seg_last
+    systolic.busy_cycles += info["compute_busy"]
+    systolic.macs_done += fold.macs
     audit = telemetry.audit
-    if audit.enabled and clock is not None:
-        audit.clock = clock
-    dma.cursor = cursor
-    stats.stream_cycles = stream_acc
-    stats.issue_cycles = issue_acc
-    stats.requests += agg[0]
-    stats.packets += agg[1]
-    stats.bytes_in += agg[2]
-    stats.bytes_out += agg[3]
-    systolic.busy_cycles = busy
-    systolic.macs_done += agg[4]
-    return layer_cycles, comp_sum
+    if audit.enabled and fold.last_size is not None:
+        # Each transfer stamps the cursor it starts at on the ledger.
+        last = issue + dma.dram.transfer_cycles(fold.last_size, share)
+        audit.clock = dma.cursor - last
 
 
 def _replay_paging(core, fold: _Fold, pte_map, share: float,
@@ -481,23 +358,15 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     The IOTLB is replayed on an ``OrderedDict`` copy (``move_to_end`` /
     ``popitem(last=False)`` — the cache's own LRU primitives) swapped
     back in at layer end; walk stalls replay sequentially with the exact
-    sequential-overlap rule of :meth:`IOMMU._translate_page`.  The DMA
-    transfer histogram's ``observe`` is inlined field for field (same
-    accumulator order, same reservoir RNG draws) — this loop runs once
-    per page of every transfer and dominates the fast path's cost.
+    sequential-overlap rule of :meth:`IOMMU._translate_page`.  Transfer
+    latencies are counted locally and added to the DMA transfer
+    histogram at layer end — this loop runs once per page of every
+    transfer and dominates the fast path's cost.
     """
     dma = core.dma
     stats = dma.stats
-    hist = dma._h_transfer
-    h_count = hist.count
-    h_epoch = hist._epoch_count
-    h_total = hist.total
-    h_min = hist.min
-    h_max = hist.max
-    samples = hist.samples
-    samples_append = samples.append
-    max_samples = hist.max_samples
-    getrandbits = hist._rng.getrandbits
+    latencies: Dict[float, int] = {}
+    latencies_get = latencies.get
     issue = dma.ISSUE_CYCLES
     cursor = dma.cursor
     stream_acc = stats.stream_cycles
@@ -529,106 +398,45 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     tlb_len = len(tlb)
     stream_get = stream_cache.get
     for loads, stores, compute, macs in fold.iters:
-        load = 0
-        for transfer in loads:
-            clock = cursor
-            pending = 0.0
-            for vpage in transfer[1]:
-                if vpage in tlb:
-                    tlb_move_end(vpage)
-                    hits += 1
-                else:
-                    walks += 1
-                    stall = walk_seq if vpage == last_vpage + 1 else walk_cost
-                    walk_cycles_acc += stall
-                    pending += stall
-                    walk_cursor += stall
-                    if tlb_len >= entries:
-                        tlb_pop_first(False)
+        load = store = 0
+        for is_store, transfers in ((False, loads), (True, stores)):
+            phase = 0
+            for transfer in transfers:
+                clock = cursor
+                pending = 0.0
+                for vpage in transfer[1]:
+                    if vpage in tlb:
+                        tlb_move_end(vpage)
+                        hits += 1
                     else:
-                        tlb_len += 1
-                    tlb[vpage] = None
-                last_vpage = vpage
-            stall_acc += pending
-            size = transfer[0]
-            stream = stream_get(size)
-            if stream is None:
-                stream = transfer_cycles(size, share)
-                stream_cache[size] = stream
-            cycles = issue + pending + stream
-            issue_acc += issue
-            stream_acc += stream
-            cursor += cycles
-            # Inlined hist.observe(cycles, cycle=cursor):
-            h_count += 1
-            h_epoch += 1
-            h_total += cycles
-            if h_min is None or cycles < h_min:
-                h_min = cycles
-            if h_max is None or cycles > h_max:
-                h_max = cycles
-            if len(samples) < max_samples:
-                samples_append((cursor, cycles))
-            elif max_samples > 0:
-                # Inlined Random.randrange -> _randbelow_with_getrandbits:
-                # identical getrandbits call sequence, identical draws.
-                k = h_epoch.bit_length()
-                slot = getrandbits(k)
-                while slot >= h_epoch:
-                    slot = getrandbits(k)
-                if slot < max_samples:
-                    samples[slot] = (cursor, cycles)
-            load = load + cycles
-        store = 0
-        for transfer in stores:
-            clock = cursor
-            pending = 0.0
-            for vpage in transfer[1]:
-                if vpage in tlb:
-                    tlb_move_end(vpage)
-                    hits += 1
-                else:
-                    walks += 1
-                    stall = walk_seq if vpage == last_vpage + 1 else walk_cost
-                    walk_cycles_acc += stall
-                    pending += stall
-                    walk_cursor += stall
-                    if tlb_len >= entries:
-                        tlb_pop_first(False)
-                    else:
-                        tlb_len += 1
-                    tlb[vpage] = None
-                last_vpage = vpage
-            stall_acc += pending
-            size = transfer[0]
-            stream = stream_get(size)
-            if stream is None:
-                stream = transfer_cycles(size, share)
-                stream_cache[size] = stream
-            cycles = issue + pending + stream
-            issue_acc += issue
-            stream_acc += stream
-            cursor += cycles
-            # Inlined hist.observe(cycles, cycle=cursor):
-            h_count += 1
-            h_epoch += 1
-            h_total += cycles
-            if h_min is None or cycles < h_min:
-                h_min = cycles
-            if h_max is None or cycles > h_max:
-                h_max = cycles
-            if len(samples) < max_samples:
-                samples_append((cursor, cycles))
-            elif max_samples > 0:
-                # Inlined Random.randrange -> _randbelow_with_getrandbits:
-                # identical getrandbits call sequence, identical draws.
-                k = h_epoch.bit_length()
-                slot = getrandbits(k)
-                while slot >= h_epoch:
-                    slot = getrandbits(k)
-                if slot < max_samples:
-                    samples[slot] = (cursor, cycles)
-            store = store + cycles
+                        walks += 1
+                        stall = (walk_seq if vpage == last_vpage + 1
+                                 else walk_cost)
+                        walk_cycles_acc += stall
+                        pending += stall
+                        walk_cursor += stall
+                        if tlb_len >= entries:
+                            tlb_pop_first(False)
+                        else:
+                            tlb_len += 1
+                        tlb[vpage] = None
+                    last_vpage = vpage
+                stall_acc += pending
+                size = transfer[0]
+                stream = stream_get(size)
+                if stream is None:
+                    stream = transfer_cycles(size, share)
+                    stream_cache[size] = stream
+                cycles = issue + pending + stream
+                issue_acc += issue
+                stream_acc += stream
+                cursor += cycles
+                latencies[cycles] = latencies_get(cycles, 0) + 1
+                phase = phase + cycles
+            if is_store:
+                store = phase
+            else:
+                load = phase
         busy += compute
         comp_sum += compute
         if seg_first is None:
@@ -662,14 +470,7 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     iotlb._cache = OrderedDict(
         (p, v if v is not None else pte_map[p]) for p, v in tlb.items()
     )
-    if hist is not NULL_HISTOGRAM:
-        # The null histogram's observe() is a no-op: leave the shared
-        # singleton untouched, exactly like the event path does.
-        hist.count = h_count
-        hist._epoch_count = h_epoch
-        hist.total = h_total
-        hist.min = h_min
-        hist.max = h_max
+    dma._h_transfer.observe_counts(latencies.items())
     ctrl._pending_walk_cycles = pending
     ctrl._last_vpage = last_vpage
     ctrl._walk_cursor = walk_cursor
@@ -688,11 +489,10 @@ _KINDS = {NoProtection: "none", NPUGuarder: "guarder",
 class FastRun:
     """Per-``run_detailed``-call fast-path context (one per eligible run)."""
 
-    __slots__ = ("core", "program", "share", "ctrl", "kind", "switches0")
+    __slots__ = ("core", "share", "ctrl", "kind", "switches0")
 
-    def __init__(self, core, program, share, ctrl, kind) -> None:
+    def __init__(self, core, share, ctrl, kind) -> None:
         self.core = core
-        self.program = program
         self.share = share
         self.ctrl = ctrl
         self.kind = kind
@@ -706,47 +506,32 @@ class FastRun:
         kind = self.kind
         ctrl = self.ctrl
         core = self.core
-        if kind in ("none", "guarder"):
-            key = memo_key(core.config, self.program, layer.index,
-                           self.share, kind)
-            entry = _MEMO.get(key)
-            if entry is None:
-                _count("memo_misses")
-                try:
-                    fold = _fold_layer(layer)
-                except Exception:
-                    _fallback("fold_error")
-                    return None
-                agg = (fold.subreq, fold.packets, fold.bytes_in,
-                       fold.bytes_out, fold.macs)
-                entry = _MemoEntry(
-                    _per_iter_streams(fold, core.dma.dram, self.share),
-                    agg, dict(fold.hulls),
-                    {group: tuple(vaddrs)
-                     for group, vaddrs in fold.distinct.items()},
-                )
-                _memo_put(key, entry)
-            else:
-                _count("memo_hits")
-            if kind == "guarder":
-                if not _guarder_provable(ctrl, entry.hulls, entry.distinct):
-                    _fallback("guarder_unprovable")
-                    return None
-            result = _replay_stall_free(core, entry.per_iter, entry.agg)
-            if kind == "guarder":
-                subreq = entry.agg[0]
-                ctrl.stats.translations += subreq
-                ctrl.stats.checks += subreq
-                telemetry.profiler.count("guarder.checks", subreq)
-            _count("fast_layers")
-            return result
-
-        # Paging controllers (IOMMU / TrustZone sMMU).
         try:
             fold = _fold_layer(layer)
         except Exception:
             _fallback("fold_error")
             return None
+        if kind in ("none", "guarder"):
+            if kind == "guarder" and not _guarder_provable(
+                ctrl, fold.hulls, fold.distinct
+            ):
+                _fallback("guarder_unprovable")
+                return None
+            exact = _exact_fold(core, layer, self.share)
+            if exact is None:
+                _fallback("inexact")
+                return None
+            cycles, info = exact
+            _advance_stall_free(core, fold, info, self.share)
+            if kind == "guarder":
+                subreq = fold.subreq
+                ctrl.stats.translations += subreq
+                ctrl.stats.checks += subreq
+                telemetry.profiler.count("guarder.checks", subreq)
+            _count("fast_layers")
+            return cycles, info["compute_busy"]
+
+        # Paging controllers (IOMMU / TrustZone sMMU).
         if kind == "smmu":
             if ctrl.world_switches != self.switches0:
                 _fallback("world_switch")
@@ -786,7 +571,7 @@ class FastRun:
         return result
 
 
-def begin_run(core, program, share: float, flush: Optional[str]
+def begin_run(core, share: float, flush: Optional[str]
               ) -> Optional[FastRun]:
     """Run-level eligibility gate; None (counted) when the whole run
     must take the event path.  Inside :func:`reference` it is always None
@@ -827,4 +612,4 @@ def begin_run(core, program, share: float, flush: Optional[str]
         # Unknown controller subclass: its handle() may do anything.
         _fallback("controller")
         return None
-    return FastRun(core, program, share, ctrl, kind)
+    return FastRun(core, share, ctrl, kind)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -198,6 +200,72 @@ class Histogram:
         self._rng = random.Random(self._seed_for(0))
 
 
+def _multiset_percentile(items: List[Tuple[float, int]], p: float) -> float:
+    """:func:`reservoir_percentile` over the multiset of sorted
+    ``(value, count)`` *items*, without expanding it."""
+    if not items:
+        return 0.0
+    cumulative = list(accumulate(count for _v, count in items))
+    n = cumulative[-1]
+    if n == 1:
+        return items[0][0]
+    rank = (p / 100.0) * (n - 1)
+    lo = int(rank)
+    hi = min(lo + 1, n - 1)
+    frac = rank - lo
+    at_lo = items[bisect_right(cumulative, lo)][0]
+    at_hi = items[bisect_right(cumulative, hi)][0]
+    return at_lo * (1.0 - frac) + at_hi * frac
+
+
+class CountedHistogram:
+    """Exact histogram of a stream with few distinct values (the DMA
+    engine's transfer latencies): the full ``{value: count}`` multiset.
+
+    The summary (:class:`Histogram`'s keys) depends on the multiset
+    alone: the sum runs in sorted-value order, and the percentiles apply
+    :func:`reservoir_percentile`'s rule to every observation.  So a bulk
+    producer adding a whole layer's counts (:meth:`observe_counts`)
+    agrees bit for bit with one observing transfer by transfer.
+    """
+
+    __slots__ = ("name", "counts")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.counts: Dict[float, int] = {}
+
+    def observe(self, value: Number) -> None:
+        value = float(value)
+        self.counts[value] = self.counts.get(value, 0) + 1
+
+    def observe_counts(self, pairs: Iterable[Tuple[Number, int]]) -> None:
+        """Add *count* observations of *value* for each pair."""
+        counts = self.counts
+        for value, count in pairs:
+            value = float(value)
+            counts[value] = counts.get(value, 0) + count
+
+    def summary(self) -> Dict[str, float]:
+        items = sorted(self.counts.items())
+        count = sum(n for _v, n in items)
+        total = 0.0
+        for value, n in items:
+            total += value * n
+        return {
+            "count": count,
+            "sum": total,
+            "mean": total / count if count else 0.0,
+            "min": items[0][0] if items else 0.0,
+            "max": items[-1][0] if items else 0.0,
+            "p50": _multiset_percentile(items, 50),
+            "p99": _multiset_percentile(items, 99),
+        }
+
+    def reset(self) -> None:
+        self.counts.clear()
+
+
 # ----------------------------------------------------------------------
 # Null objects handed out while telemetry is disabled
 # ----------------------------------------------------------------------
@@ -234,9 +302,23 @@ class _NullHistogram(Histogram):
         pass
 
 
+class _NullCountedHistogram(CountedHistogram):
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__("null")
+
+    def observe(self, value: Number) -> None:
+        pass
+
+    def observe_counts(self, pairs: Iterable[Tuple[Number, int]]) -> None:
+        pass
+
+
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
+NULL_COUNTED_HISTOGRAM = _NullCountedHistogram()
 
 
 class MetricSet:
@@ -244,7 +326,9 @@ class MetricSet:
 
     def __init__(self, prefix: str):
         self.prefix = prefix
-        self._metrics: "Dict[str, Union[Counter, Gauge, Histogram]]" = {}
+        self._metrics: Dict[
+            str, Union[Counter, Gauge, Histogram, CountedHistogram]
+        ] = {}
         #: name -> (owner, attribute name).  Resolved lazily at snapshot
         #: time; a callable attribute (method/property value) is invoked
         #: with no arguments.  Strong references: the registry dies with
@@ -273,6 +357,13 @@ class MetricSet:
             self._metrics[name] = metric
         return metric  # type: ignore[return-value]
 
+    def counted_histogram(self, name: str) -> CountedHistogram:
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = CountedHistogram(f"{self.prefix}.{name}")
+            self._metrics[name] = metric
+        return metric  # type: ignore[return-value]
+
     # -- pull bindings -------------------------------------------------
     def bind(self, name: str, obj: Any, attr: str) -> None:
         """Expose ``obj.<attr>`` (value, property or 0-arg method) as
@@ -284,7 +375,7 @@ class MetricSet:
         """Flat ``name -> scalar`` view of this set (histograms expand)."""
         out: Dict[str, Any] = {}
         for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
+            if isinstance(metric, (Histogram, CountedHistogram)):
                 for stat, value in metric.summary().items():
                     out[f"{self.prefix}.{name}.{stat}"] = value
             else:
@@ -315,6 +406,9 @@ class _NullMetricSet(MetricSet):
 
     def histogram(self, name: str, max_samples: int = 1024) -> Histogram:
         return NULL_HISTOGRAM
+
+    def counted_histogram(self, name: str) -> CountedHistogram:
+        return NULL_COUNTED_HISTOGRAM
 
     def bind(self, name: str, obj: Any, attr: str) -> None:
         pass

@@ -18,6 +18,8 @@ from repro.cli import main
 from repro.errors import (
     ReconciliationError, SecurityViolation, SimulationError,
 )
+from repro.store import RunStore
+from repro.store.ingest import record_from_bench
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -57,11 +59,43 @@ def test_non_finite_or_negative_input_exits_two(argv, tmp_path):
     """Non-finite rates, horizons and windows used to hang the arrival
     generator or escape as tracebacks; each is bad input: one line on
     stderr, exit 2, promptly."""
+    _assert_bad_input(_repro(argv, tmp_path, timeout=10))
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "mobilenet", "--input-size", "56"],
+    ["serve", "default", "--duration", "20"],
+    ["flows", "mobilenet"],
+    ["audit", "snpu"],
+    ["profile", "mobilenet"],
+    ["watch", "default", "--duration", "20"],
+    ["report", "--store", "runs.db"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_path_exits_two(argv, tmp_path):
+    """An output path in a directory that does not exist is bad input,
+    not a FileNotFoundError traceback."""
+    if argv[0] == "report":
+        RunStore(str(tmp_path / "runs.db")).ingest(record_from_bench({
+            "bench_id": "demo",
+            "metrics": {"deterministic": {"rows": 1},
+                        "timing": {"run_seconds": 1.0}},
+        }, "demo"))
+    out = tmp_path / "missing" / "out"
+    proc = _repro([*argv, "-o", str(out)], tmp_path, timeout=60)
+    _assert_bad_input(proc)
+    assert f"cannot write {out}" in proc.stderr
+
+
+def _repro(argv, cwd, timeout):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *argv], cwd=str(tmp_path), env=env,
-        capture_output=True, text=True, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=str(cwd), env=env,
+        capture_output=True, text=True, timeout=timeout,
     )
+
+
+def _assert_bad_input(proc):
+    """Exit 2 with exactly one ``error:`` line and no traceback."""
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()

@@ -89,7 +89,6 @@ def test_golden(exp_id, fast, update_goldens):
     committed golden byte-for-byte (same floats, same strings, same
     ordering)."""
     path = _golden_path(exp_id)
-    fastpath.clear_memo()
     if fast:
         fresh = _snapshot(exp_id)
     else:

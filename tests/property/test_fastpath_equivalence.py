@@ -82,7 +82,6 @@ def _profiler_state(scope):
 def _run_soc(model_name, protection, fast, secure=False):
     """One full SoC detailed run; returns (observables, fast counters)."""
     model = _build(model_name)
-    fastpath.clear_memo()
     with contextlib.nullcontext() if fast else fastpath.reference():
         with telemetry.scoped(trace=False) as scope:
             soc = SoC(SoCConfig(protection=protection))
@@ -254,8 +253,13 @@ def _make_controller(kind, program):
     return smmu
 
 
-def _run_core(builder, kind, flush, share, attacker, fast):
-    """Compile + run one scenario on a bare core; capture everything."""
+def _run_core(builder, kind, flush, share, attacker, fast, prepare=None):
+    """Compile + run one scenario on a bare core; capture everything.
+
+    ``prepare(core, program)``, when given, runs first and the measured
+    run keeps the statistics it leaves (``reset_stats=False``); only the
+    measured run's fast-path counters are returned.
+    """
     with contextlib.nullcontext() if fast else fastpath.reference():
         with telemetry.scoped(trace=False) as scope:
             config = NPUConfig.paper_default()
@@ -264,10 +268,14 @@ def _run_core(builder, kind, flush, share, attacker, fast):
             core = NPUCore(config, ctrl, DRAMModel(config.dram_bytes_per_cycle))
             if attacker:
                 core.attacker = object()
+            if prepare is not None:
+                prepare(core, program)
+                warm_counts = _fast_counters(scope.metrics.snapshot())
             error = None
             result = None
             try:
-                result = core.run_detailed(program, share=share, flush=flush)
+                result = core.run_detailed(program, share=share, flush=flush,
+                                           reset_stats=prepare is None)
             except Exception as exc:  # noqa: BLE001 - compared across legs
                 error = type(exc).__name__
             dma = core.dma
@@ -275,7 +283,9 @@ def _run_core(builder, kind, flush, share, attacker, fast):
                 error=error,
                 cycles=None if result is None else result.cycles,
                 layers=None if result is None else [
-                    (lay.name, lay.cycles, lay.flush_cycles)
+                    (lay.name, lay.index, lay.cycles, lay.load_bytes,
+                     lay.store_bytes, lay.compute_cycles, lay.macs,
+                     lay.flush_cycles)
                     for lay in result.layers
                 ],
                 dma_stats=vars(dma.stats).copy(),
@@ -299,6 +309,13 @@ def _run_core(builder, kind, flush, share, attacker, fast):
             state["prof_counts"] = prof_counts
             snapshot = scope.metrics.snapshot()
     fast_counts = _fast_counters(snapshot)
+    if prepare is not None:
+        # Only the measured run's routing decisions.
+        fast_counts = {
+            key: value - warm_counts.get(key, 0)
+            for key, value in fast_counts.items()
+            if value != warm_counts.get(key, 0)
+        }
     prefix = fastpath.GROUP_PREFIX + "."
     state["metrics"] = {
         key: value for key, value in snapshot.items()
@@ -319,10 +336,8 @@ def test_fallback_predicate_property(builder, kind, flush, share, attacker):
     """For ANY scenario — clean or not — both paths are bit-identical,
     and anything the analytic model cannot prove routes to the event
     simulator (visible in the fallback counter)."""
-    fastpath.clear_memo()
     slow, slow_counts = _run_core(builder, kind, flush, share, attacker,
                                   fast=False)
-    fastpath.clear_memo()
     fast, fast_counts = _run_core(builder, kind, flush, share, attacker,
                                   fast=True)
     assert slow.keys() == fast.keys()
@@ -358,13 +373,98 @@ def test_unprovable_schedule_routes_to_event_path():
     """A page-table hole is unprovable: the fast leg must fall back and
     then fault exactly like the event leg (same exception, same partial
     DMA/controller statistics, same audit denial record)."""
-    fastpath.clear_memo()
     slow, _ = _run_core(synthetic_mlp, "iommu-hole", None, 1.0, False,
                         fast=False)
-    fastpath.clear_memo()
     fast, fast_counts = _run_core(synthetic_mlp, "iommu-hole", None, 1.0,
                                   False, fast=True)
     assert slow["error"] == fast["error"] is not None
     for key in slow:
         assert slow[key] == fast[key], f"observable {key!r} differs"
     assert fast_counts.get("fallbacks.iommu_unprovable", 0) >= 1
+
+
+# ----------------------------------------------------------------------
+# Stall-free layers: the segment fold and its exactness gate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("share", (1.0, 0.5))
+@pytest.mark.parametrize("kind", ("none", "guarder"))
+@pytest.mark.parametrize("model_name", WORKLOADS)
+def test_stall_free_fold_is_exact(model_name, kind, share):
+    """At dyadic bandwidth shares every stall-free layer passes the
+    exactness gate, takes the segment fold, and leaves every observable
+    — cycles, per-layer results, DMA/controller/systolic statistics, the
+    metrics snapshot (the DMA transfer histogram included), the
+    Fraction-exact profiler state and the audit ledger — equal to the
+    reference event walk."""
+    build = lambda: _build(model_name)  # noqa: E731
+    slow, slow_counts = _run_core(build, kind, None, share, False,
+                                  fast=False)
+    fast, fast_counts = _run_core(build, kind, None, share, False,
+                                  fast=True)
+    _assert_identical(slow, fast)
+    assert slow_counts == {}
+    assert fast_counts.get("fallbacks", 0) == 0
+    assert fast_counts.get("fast_layers", 0) == len(slow["layers"])
+
+
+@pytest.mark.parametrize("kind", ("none", "guarder"))
+@pytest.mark.parametrize("model_name", ("mobilenet", "resnet", "bert"))
+def test_inexact_share_falls_back(model_name, kind):
+    """At share 0.3 the stream cycles carry ~46 fractional bits, so the
+    fold's reordered sums could round differently from the walk's: those
+    layers must take the event walk (``fallbacks.inexact``), and the run
+    stays equal to the reference."""
+    build = lambda: _build(model_name)  # noqa: E731
+    slow, _ = _run_core(build, kind, None, 0.3, False, fast=False)
+    fast, fast_counts = _run_core(build, kind, None, 0.3, False, fast=True)
+    _assert_identical(slow, fast)
+    assert fast_counts.get("fallbacks.inexact", 0) >= 1
+    assert fast_counts.get("fallbacks", 0) == fast_counts["fallbacks.inexact"]
+    assert (fast_counts.get("fast_layers", 0) + fast_counts["fallbacks"]
+            == len(slow["layers"]))
+
+
+def _set_cursor(value):
+    def prepare(core, _program):
+        core.dma.cursor = value
+    return prepare
+
+
+def _warm_up(share):
+    def prepare(core, program):
+        core.run_detailed(program, share=share)
+    return prepare
+
+
+@pytest.mark.parametrize("kind", ("none", "guarder"))
+def test_non_dyadic_starting_cursor_falls_back(kind):
+    """The gate covers the accumulators' starting values: a DMA cursor
+    at 0.1 (a 55-bit fraction) makes every layer's sums inexact, so every
+    layer takes the event walk and the run still equals the reference."""
+    slow, _ = _run_core(synthetic_cnn, kind, None, 1.0, False, fast=False,
+                        prepare=_set_cursor(0.1))
+    fast, fast_counts = _run_core(synthetic_cnn, kind, None, 1.0, False,
+                                  fast=True, prepare=_set_cursor(0.1))
+    _assert_identical(slow, fast)
+    assert fast_counts.get("fallbacks.inexact", 0) == len(slow["layers"])
+    assert fast_counts.get("fast_layers", 0) == 0
+
+
+@pytest.mark.parametrize("kind", ("none", "guarder"))
+def test_share_03_leftovers_fold_only_while_exact(kind):
+    """A share-0.3 run leaves the cursor and (``reset_stats=False``) the
+    DMA totals with long fractions.  A following share-1.0 layer folds
+    while its sums stay within those values' exact range and falls back
+    once they would leave it; googlenet at 56 px hits both cases, and the
+    run equals the reference walk."""
+    build = lambda: _build("googlenet")  # noqa: E731
+    slow, _ = _run_core(build, kind, None, 1.0, False, fast=False,
+                        prepare=_warm_up(0.3))
+    fast, fast_counts = _run_core(build, kind, None, 1.0, False, fast=True,
+                                  prepare=_warm_up(0.3))
+    _assert_identical(slow, fast)
+    assert fast_counts.get("fast_layers", 0) > 0
+    assert fast_counts.get("fallbacks.inexact", 0) > 0
+    assert fast_counts["fallbacks"] == fast_counts["fallbacks.inexact"]
+    assert (fast_counts["fast_layers"] + fast_counts["fallbacks"]
+            == len(slow["layers"]))

@@ -23,13 +23,6 @@ from repro.sim import fastpath
 from repro.workloads.synthetic import synthetic_mlp
 
 
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    fastpath.clear_memo()
-    yield
-    fastpath.clear_memo()
-
-
 def _guarder() -> NPUGuarder:
     guarder = NPUGuarder()
     guarder.set_checking_register(
@@ -94,6 +87,44 @@ def test_attacker_run_matches_event_path_exactly(config, compiler):
             )
             plain = core.run_detailed(program)
     assert with_attacker.cycles == plain.cycles
+
+
+def test_repeated_runs_reuse_the_layer_fold_exactly(config, compiler):
+    """A second run on the same program object reads each layer's cached
+    schedule fold; both runs take the fast path and equal the reference
+    event walk bit for bit."""
+    program = compiler.compile(synthetic_mlp())
+    first, first_counts = _run(program, config)
+    second, second_counts = _run(program, config)
+    with fastpath.reference():
+        event, _ = _run(program, config)
+    n_layers = len(first.layers)
+    assert first_counts == second_counts == {"fast_layers": n_layers}
+    for run in (second, event):
+        assert run.cycles == first.cycles
+        assert [lay.cycles for lay in run.layers] == [
+            lay.cycles for lay in first.layers
+        ]
+
+
+def test_denying_guarder_registers_force_event_path(config, compiler):
+    """The register proof is re-run against the current Guarder state on
+    every run: after a clean run, registers that deny writes must route
+    the layer to the event walk, which raises the violation."""
+    program = compiler.compile(synthetic_mlp())
+    _run(program, config)  # folds cached under permissive registers
+    denying = NPUGuarder()
+    denying.set_checking_register(
+        0, AddressRange(0, 1 << 40), Permission.READ, World.NORMAL,
+        issuer=World.SECURE,
+    )
+    denying.set_translation_register(0, vbase=0, pbase=0, size=1 << 40)
+    with telemetry.scoped(trace=False) as scope:
+        core = NPUCore(config, denying, DRAMModel(config.dram_bytes_per_cycle))
+        with pytest.raises(Exception):
+            core.run_detailed(program)
+        counters = _counters(scope.metrics.snapshot())
+    assert counters.get("fallbacks.guarder_unprovable", 0) >= 1
 
 
 def test_functional_mode_forces_event_path(config, compiler):
@@ -166,7 +197,7 @@ def test_world_switch_mid_run_forces_event_path(config, compiler):
     smmu = TrustZoneSMMU(table, iotlb_entries=16)
     core = NPUCore(config, smmu, DRAMModel(config.dram_bytes_per_cycle))
     with telemetry.scoped(trace=False) as scope:
-        fast_run = fastpath.begin_run(core, program, 1.0, None)
+        fast_run = fastpath.begin_run(core, 1.0, None)
         assert fast_run is not None
         layer = program.layers[0]
         assert fast_run.layer(layer) is not None  # clean: runs fast

@@ -1,12 +1,14 @@
 """Unit tests for the telemetry subsystem: metrics, tracing, export."""
 
 import json
+import random
 
 import pytest
 
 from repro import telemetry
 from repro.telemetry.metrics import (
     Counter,
+    CountedHistogram,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -14,6 +16,7 @@ from repro.telemetry.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_SET,
+    reservoir_percentile,
 )
 from repro.telemetry.trace import TraceRecorder
 
@@ -154,6 +157,107 @@ class TestHistogram:
         h.reset()
         assert h.epoch == 0
         assert h.count == 0 and h.samples == []
+
+
+class TestCountedHistogram:
+    """The exact ``{value: count}`` histogram (DMA transfer latencies)."""
+
+    @staticmethod
+    def _values(n, seed=0):
+        rng = random.Random(seed)
+        # Few distinct values, like transfer latencies, plus fractions.
+        return [rng.choice((4.0, 36.0, 132.0, 260.5, 2172.0, 4508.0))
+                + rng.randrange(3) / 16 for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024, 1025, 5000])
+    def test_percentiles_equal_reservoir_rule_over_every_value(self, n):
+        values = self._values(n)
+        h = CountedHistogram("x")
+        for v in values:
+            h.observe(v)
+        full = [(0.0, v) for v in values]
+        summary = h.summary()
+        assert summary["p50"] == reservoir_percentile(full, 50)
+        assert summary["p99"] == reservoir_percentile(full, 99)
+        assert summary["count"] == n
+        assert summary["min"] == min(values)
+        assert summary["max"] == max(values)
+
+    def test_summary_is_invariant_under_permutation(self):
+        values = self._values(3000, seed=1)
+        shuffled = list(values)
+        random.Random(2).shuffle(shuffled)
+        forward, permuted = CountedHistogram("x"), CountedHistogram("x")
+        for v in values:
+            forward.observe(v)
+        for v in shuffled:
+            permuted.observe(v)
+        assert forward.summary() == permuted.summary()
+
+    def test_bulk_counts_equal_single_observations(self):
+        values = self._values(2000, seed=3)
+        single, bulk = CountedHistogram("x"), CountedHistogram("x")
+        for v in values:
+            single.observe(v)
+        tally = {}
+        for v in values:
+            tally[v] = tally.get(v, 0) + 1
+        bulk.observe_counts(sorted(tally.items(), reverse=True))
+        assert bulk.summary() == single.summary()
+
+    def test_empty_summary_and_reset(self):
+        h = CountedHistogram("x")
+        empty = h.summary()
+        assert empty == {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
+                         "max": 0.0, "p50": 0.0, "p99": 0.0}
+        h.observe(3.0)
+        h.reset()
+        assert h.summary() == empty
+
+    def test_snapshot_keys_match_the_reservoir_histogram(self):
+        reg = MetricsRegistry(enabled=True)
+        group = reg.group("npu.dma")
+        group.counted_histogram("transfer_cycles").observe(5.0)
+        group.histogram("other").observe(5.0)
+        snap = reg.snapshot()
+        suffixes = {"count", "sum", "mean", "min", "max", "p50", "p99"}
+        assert {k.rsplit(".", 1)[1] for k in snap
+                if k.startswith("npu.dma.transfer_cycles.")} == suffixes
+        assert {k.rsplit(".", 1)[1] for k in snap
+                if k.startswith("npu.dma.other.")} == suffixes
+
+    def test_snapshot_merges_and_archives_unchanged(self, tmp_path):
+        from repro.store import RunStore, numeric
+        from repro.store.ingest import record_from_stats
+
+        snaps = []
+        for values in ([4.0, 36.0, 36.0], [132.0]):
+            reg = MetricsRegistry(enabled=True)
+            hist = reg.group("npu.dma").counted_histogram("transfer_cycles")
+            for v in values:
+                hist.observe(v)
+            snaps.append(reg.snapshot())
+        merged = telemetry.merge_snapshots(snaps)
+        assert merged["npu.dma.transfer_cycles.count"] == 4
+        assert merged["npu.dma.transfer_cycles.sum"] == 208.0
+        assert merged["npu.dma.transfer_cycles.mean"] == 52.0
+        assert merged["npu.dma.transfer_cycles.min"] == 4.0
+        assert merged["npu.dma.transfer_cycles.max"] == 132.0
+        store = RunStore(str(tmp_path / "runs.db"))
+        store.ingest(record_from_stats("m", "snpu", False, 32, 1.0, snaps[0]))
+        _, rows = store.query(
+            "SELECT name, value FROM metrics"
+            " WHERE name LIKE 'npu.dma.transfer_cycles.%' ORDER BY name")
+        assert {name: numeric(value) for name, value in rows} == {
+            k: v for k, v in snaps[0].items()
+            if k.startswith("npu.dma.transfer_cycles.")
+        }
+
+    def test_null_set_hands_out_an_inert_counted_histogram(self):
+        hist = NULL_SET.counted_histogram("x")
+        hist.observe(1.0)
+        hist.observe_counts([(2.0, 5)])
+        assert hist.summary()["count"] == 0
 
 
 class TestNullObjects:
