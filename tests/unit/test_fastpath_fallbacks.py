@@ -89,24 +89,6 @@ def test_attacker_run_matches_event_path_exactly(config, compiler):
     assert with_attacker.cycles == plain.cycles
 
 
-def test_repeated_runs_reuse_the_layer_fold_exactly(config, compiler):
-    """A second run on the same program object reads each layer's cached
-    schedule fold; both runs take the fast path and equal the reference
-    event walk bit for bit."""
-    program = compiler.compile(synthetic_mlp())
-    first, first_counts = _run(program, config)
-    second, second_counts = _run(program, config)
-    with fastpath.reference():
-        event, _ = _run(program, config)
-    n_layers = len(first.layers)
-    assert first_counts == second_counts == {"fast_layers": n_layers}
-    for run in (second, event):
-        assert run.cycles == first.cycles
-        assert [lay.cycles for lay in run.layers] == [
-            lay.cycles for lay in first.layers
-        ]
-
-
 def test_denying_guarder_registers_force_event_path(config, compiler):
     """The register proof is re-run against the current Guarder state on
     every run: after a clean run, registers that deny writes must route

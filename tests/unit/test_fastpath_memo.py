@@ -1,33 +1,20 @@
-"""Memo-cache correctness for the analytic fast path.
+"""Warm-run correctness for the fast path's per-layer fold cache.
 
-Follows the ``test_experiment_cache`` pattern: key stability/uniqueness
-first, then behavioural guarantees — warm-cache timing bit-identical to
-cold simulation, and memo keys that invalidate on any NPUConfig field,
-the protection kind, the share, the program, or the compiler-source
-digest (monkeypatched exactly like ``cache_mod._SOURCE_DIGEST``).
+The first detailed run on a program folds each layer's schedule once and
+caches the fold on the layer object; later runs read it back.  A warm
+run must be bit-identical to the cold one and to the reference event
+walk, and must still take the fast path on every layer.
 """
 
 from __future__ import annotations
-
-import dataclasses
-
-import pytest
 
 from repro import telemetry
 from repro.common.types import AddressRange, Permission, World
 from repro.memory.dram import DRAMModel
 from repro.mmu.guarder import NPUGuarder
-from repro.npu.config import NPUConfig
 from repro.npu.core import NPUCore
 from repro.sim import fastpath
 from repro.workloads.synthetic import synthetic_mlp
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    fastpath.clear_memo()
-    yield
-    fastpath.clear_memo()
 
 
 def _permissive_guarder() -> NPUGuarder:
@@ -56,62 +43,30 @@ def _run(program, config, guarder=None):
     return result, counters
 
 
-class TestKey:
-    def test_stable_within_process(self, compiler, config, mlp_program):
-        key = fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder")
-        assert key == fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder")
-
-    def test_varies_with_every_config_field(self, config, mlp_program):
-        base = fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder")
-        for field in dataclasses.fields(NPUConfig):
-            value = getattr(config, field.name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            # Bypass __post_init__ validation: the memo key must react to
-            # the raw field value, whatever the invariants say.
-            bumped = object.__new__(NPUConfig)
-            bumped.__dict__.update(config.__dict__)
-            bumped.__dict__[field.name] = value + 1
-            key = fastpath.memo_key(bumped, mlp_program, 0, 1.0, "guarder")
-            assert key != base, f"NPUConfig.{field.name} not in the memo key"
-
-    def test_varies_with_protection_share_layer_and_program(
-        self, config, mlp_program, cnn_program
-    ):
-        keys = {
-            fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder"),
-            fastpath.memo_key(config, mlp_program, 0, 1.0, "none"),
-            fastpath.memo_key(config, mlp_program, 0, 0.5, "guarder"),
-            fastpath.memo_key(config, mlp_program, 1, 1.0, "guarder"),
-            fastpath.memo_key(config, cnn_program, 0, 1.0, "guarder"),
-        }
-        assert len(keys) == 5
-
-    def test_varies_with_source_digest(self, config, mlp_program, monkeypatch):
-        base = fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder")
-        monkeypatch.setattr(fastpath, "_SOURCE_DIGEST", "0" * 64)
-        patched = fastpath.memo_key(config, mlp_program, 0, 1.0, "guarder")
-        assert patched != base
+def _cached_folds(program):
+    return [getattr(layer, fastpath._FOLD_ATTR, None) for layer in program.layers]
 
 
 class TestWarmCache:
     def test_warm_timing_bit_identical_to_cold(self, config, compiler):
         program = compiler.compile(synthetic_mlp())
+        assert all(fold is None for fold in _cached_folds(program))
         cold, cold_counts = _run(program, config)
+        folds = _cached_folds(program)
+        assert all(fold is not None for fold in folds)
         warm, warm_counts = _run(program, config)
+        # The warm run reads the cached folds instead of re-folding.
+        assert all(a is b for a, b in zip(_cached_folds(program), folds))
         assert warm.cycles == cold.cycles
         assert [lay.cycles for lay in warm.layers] == [
             lay.cycles for lay in cold.layers
         ]
         n_layers = len(cold.layers)
-        assert cold_counts.get("memo_misses", 0) == n_layers
-        assert cold_counts.get("memo_hits", 0) == 0
-        assert warm_counts.get("memo_hits", 0) == n_layers
-        assert warm_counts.get("memo_misses", 0) == 0
+        assert cold_counts == warm_counts == {"fast_layers": n_layers}
 
     def test_warm_equals_event_simulator(self, config, compiler):
         program = compiler.compile(synthetic_mlp())
-        _run(program, config)  # populate the memo
+        _run(program, config)  # populate the per-layer fold cache
         warm, _ = _run(program, config)
         with fastpath.reference():
             with telemetry.scoped(trace=False):
@@ -121,55 +76,6 @@ class TestWarmCache:
                 )
                 event = core.run_detailed(program)
         assert warm.cycles == event.cycles
-
-    def test_config_change_misses_the_memo(self, config, compiler):
-        program = compiler.compile(synthetic_mlp())
-        _, cold = _run(program, config)
-        assert cold.get("memo_misses", 0) > 0
-        other = dataclasses.replace(
-            config, dram_bytes_per_cycle=config.dram_bytes_per_cycle * 2
-        )
-        _, counts = _run(program, other)
-        assert counts.get("memo_hits", 0) == 0
-        assert counts.get("memo_misses", 0) > 0
-
-    def test_source_digest_change_misses_the_memo(
-        self, config, compiler, monkeypatch
-    ):
-        program = compiler.compile(synthetic_mlp())
-        _run(program, config)
-        monkeypatch.setattr(fastpath, "_SOURCE_DIGEST", "f" * 64)
-        _, counts = _run(program, config)
-        assert counts.get("memo_hits", 0) == 0
-        assert counts.get("memo_misses", 0) > 0
-
-    def test_memo_hit_still_rechecks_current_registers(
-        self, config, compiler
-    ):
-        """A memo entry proves nothing about the *current* Guarder state:
-        a hit must re-run the precheck and fall back when the registers
-        no longer allow the schedule."""
-        program = compiler.compile(synthetic_mlp())
-        _run(program, config)  # memo populated under permissive registers
-        denying = NPUGuarder()
-        denying.set_checking_register(
-            0, AddressRange(0, 1 << 40), Permission.READ, World.NORMAL,
-            issuer=World.SECURE,
-        )
-        denying.set_translation_register(0, vbase=0, pbase=0, size=1 << 40)
-        with telemetry.scoped(trace=False) as scope:
-            core = NPUCore(
-                config, denying, DRAMModel(config.dram_bytes_per_cycle)
-            )
-            with pytest.raises(Exception):
-                core.run_detailed(program)
-            snapshot = scope.metrics.snapshot()
-        assert snapshot.get(
-            f"{fastpath.GROUP_PREFIX}.fallbacks.guarder_unprovable", 0
-        ) >= 1
-
-    def test_memo_capacity_is_bounded(self, config, mlp_program):
-        for index in range(fastpath._MEMO_MAX + 10):
-            key = fastpath.memo_key(config, mlp_program, index, 1.0, "none")
-            fastpath._memo_put(key, object())
-        assert len(fastpath._MEMO) <= fastpath._MEMO_MAX
+        assert [lay.cycles for lay in warm.layers] == [
+            lay.cycles for lay in event.layers
+        ]
